@@ -19,7 +19,7 @@ from repro.allocators import (
     SecondChanceBinpacking,
     TwoPassBinpacking,
 )
-from repro.pipeline import run_allocator
+from repro.pm.session import CompilationSession
 from repro.sim import simulate
 from repro.sim.machine import outputs_equal
 from repro.stats.report import format_table
@@ -51,7 +51,7 @@ def main() -> None:
     rows = []
     for factory in ALLOCATORS:
         allocator = factory()
-        result = run_allocator(module, allocator, machine)
+        result = CompilationSession(module, machine).run(allocator)
         outcome = simulate(result.module, machine)
         assert outputs_equal(outcome.output, reference.output), allocator.name
         rows.append([

@@ -24,7 +24,7 @@ from repro.ir.instr import SpillPhase
 from repro.ir.module import Module
 from repro.ir.printer import print_function
 from repro.ir.types import RegClass
-from repro.pipeline import run_allocator
+from repro.pm.session import CompilationSession
 from repro.sim import simulate
 from repro.target import tiny
 
@@ -74,9 +74,8 @@ def main() -> None:
     # lifetime holes" — so first run with hole packing disabled, which
     # reproduces the figure's events literally.
     print("\n=== allocation WITHOUT lifetime holes (the figure's premise) ===")
-    no_holes = run_allocator(
-        module, SecondChanceBinpacking(BinpackOptions(use_holes=False)),
-        machine)
+    no_holes = CompilationSession(module, machine).run(
+        SecondChanceBinpacking(BinpackOptions(use_holes=False)))
     for block in no_holes.module.functions["main"].blocks:
         for instr in block.instrs:
             if instr.spill_phase in (SpillPhase.EVICT, SpillPhase.RESOLVE):
@@ -91,7 +90,7 @@ def main() -> None:
     # B2 in the linear order — a block-boundary hole — so the allocator
     # parks other temporaries in T1's register and needs no spill at all.
     print("\n=== allocation WITH lifetime holes (the full algorithm) ===")
-    full = run_allocator(module, SecondChanceBinpacking(), machine)
+    full = CompilationSession(module, machine).run(SecondChanceBinpacking())
     spills = [(block.label, instr)
               for block in full.module.functions["main"].blocks
               for instr in block.instrs

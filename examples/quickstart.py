@@ -10,7 +10,7 @@ that behaviour is preserved while every temporary became a machine
 register.
 """
 
-from repro import compile_minic, run_allocator, simulate
+from repro import CompilationSession, compile_minic, simulate
 from repro.allocators import SecondChanceBinpacking
 from repro.ir.printer import print_function
 from repro.target import alpha
@@ -42,7 +42,7 @@ def main() -> None:
     print(print_function(module.functions["sum_scaled"]))
 
     before = simulate(module, machine)
-    result = run_allocator(module, SecondChanceBinpacking(), machine)
+    result = CompilationSession(module, machine).run(SecondChanceBinpacking())
     after = simulate(result.module, machine)
 
     print("\n=== post-allocation code (machine registers) ===")

@@ -15,28 +15,28 @@ tables.
 
 Quickstart::
 
-    from repro import compile_minic, run_allocator, simulate
+    from repro import CompilationSession, compile_minic, simulate
     from repro.allocators import SecondChanceBinpacking
     from repro.target import alpha
 
     machine = alpha()
     module = compile_minic(SOURCE, machine)
-    result = run_allocator(module, SecondChanceBinpacking(), machine)
+    result = CompilationSession(module, machine).run(SecondChanceBinpacking())
     outcome = simulate(result.module, machine)
     print(outcome.output, outcome.dynamic_instructions, outcome.cycles)
 """
 
 from repro.lang.lower import compile_minic
-from repro.pipeline import PipelineResult, run_allocator
+from repro.pm.session import CompilationSession, PipelineResult
 from repro.sim.machine import SimOutcome, outputs_equal, simulate
 
 __version__ = "1.0.0"
 
 __all__ = [
+    "CompilationSession",
     "PipelineResult",
     "SimOutcome",
     "compile_minic",
     "outputs_equal",
-    "run_allocator",
     "simulate",
 ]

@@ -46,8 +46,8 @@ from repro.ir.printer import print_module
 from repro.lang import compile_minic
 from repro.obs import (JsonlSink, MetricsRegistry, PhaseProfiler,
                        RingBufferSink, TextSink, Tracer)
-from repro.pipeline import run_allocator
 from repro.pm.batch import compare_allocators
+from repro.pm.session import CompilationSession
 from repro.sim import simulate
 from repro.sim.machine import outputs_equal
 from repro.spill import DEFAULT_CONTEXT, STRESS_MODES, AllocationContext
@@ -117,9 +117,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     module = _load_module(args.file, machine)
     allocator = ALLOCATORS[args.allocator]()
     with _TraceOut(args) as out:
-        result = run_allocator(module, allocator, machine,
-                               spill_cleanup=args.spill_cleanup,
-                               trace=out.tracer(), context=_context(args))
+        result = CompilationSession(module, machine).run(
+            allocator, spill_cleanup=args.spill_cleanup, trace=out.tracer(),
+            context=_context(args))
     outcome = simulate(result.module, machine)
     for value in outcome.output:
         print(value)
@@ -138,9 +138,9 @@ def cmd_compile(args: argparse.Namespace) -> int:
         return 0
     allocator = ALLOCATORS[args.allocator]()
     with _TraceOut(args) as out:
-        result = run_allocator(module, allocator, machine,
-                               spill_cleanup=args.spill_cleanup,
-                               trace=out.tracer(), context=_context(args))
+        result = CompilationSession(module, machine).run(
+            allocator, spill_cleanup=args.spill_cleanup, trace=out.tracer(),
+            context=_context(args))
     print(print_module(result.module))
     return 0
 
@@ -188,7 +188,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
             baseline = args.check
             if baseline == "auto":
                 # Newest trajectory point in the repo.
-                numbered = perf_bench._bench_numbers()
+                from repro.results.report import bench_points
+
+                numbered = bench_points()
                 if not numbered:
                     raise SystemExit("bench --perf --check: no BENCH_*.json "
                                      "baseline in the repository")
@@ -225,9 +227,9 @@ def cmd_trace(args: argparse.Namespace) -> int:
         if tracer is None:
             # --quiet without --trace-out: count events, print nothing.
             tracer = Tracer([RingBufferSink()])
-        result = run_allocator(module, allocator, machine,
-                               spill_cleanup=args.spill_cleanup,
-                               trace=tracer, context=_context(args))
+        result = CompilationSession(module, machine).run(
+            allocator, spill_cleanup=args.spill_cleanup, trace=tracer,
+            context=_context(args))
     rows = [[kind.value, count] for kind, count in tracer.counts.items()]
     print(format_table(["event", "count"], rows,
                        title=f"event summary: {allocator.name}"))
@@ -249,10 +251,10 @@ def cmd_profile(args: argparse.Namespace) -> int:
     # counters (pm.*) render alongside the allocator's own.
     metrics = MetricsRegistry()
     with _TraceOut(args) as out:
-        result = run_allocator(module, allocator, machine,
-                               spill_cleanup=args.spill_cleanup,
-                               profiler=profiler, trace=out.tracer(),
-                               metrics=metrics, context=_context(args))
+        session = CompilationSession(module, machine, metrics=metrics)
+        result = session.run(allocator, spill_cleanup=args.spill_cleanup,
+                             profiler=profiler, trace=out.tracer(),
+                             metrics=metrics, context=_context(args))
     stats = result.stats
     print(profiler.render(title=f"phase profile: {allocator.name}"))
     print(f"alloc_seconds = {stats.alloc_seconds * 1e3:.3f} ms "

@@ -33,11 +33,9 @@ boundaries (collecting candidates, rewriting spills, applying colors) —
 the per-operation ``Temp`` hashing that used to dominate the profile is
 gone from every loop that scales with program size.
 
-The interference build itself is selectable (``GraphColoring(build=...)``):
-``"sweep"`` is the sparse interval-sweep build
-(:mod:`~repro.allocators.coloring.sweep`), ``"mask"`` the retained
-per-instruction oracle (:mod:`~repro.allocators.coloring.reference`),
-and ``"check"`` runs both and asserts byte-identical results.
+The interference build is the sparse interval-sweep kernel
+(:mod:`~repro.allocators.coloring.sweep`); the differential tests swap
+in the retained per-instruction oracle from ``tests/oracles/``.
 
 Worklists are backed by insertion-ordered dicts so the allocator is
 deterministic run to run.
@@ -55,11 +53,6 @@ from repro.allocators.base import (
 )
 from repro.allocators.coloring.ifgraph import IndexGraph
 from repro.allocators.coloring.orderedset import OrderedSet
-from repro.allocators.coloring.reference import (
-    adopt_reference,
-    assert_matches_reference,
-    reference_build,
-)
 from repro.allocators.coloring.sweep import build_interference
 from repro.ir.function import Function
 from repro.ir.instr import Instr, Op, SpillPhase
@@ -68,13 +61,6 @@ from repro.ir.types import RegClass
 from repro.obs.trace import EventKind
 from repro.spill.emitter import SpillCodeEmitter
 from repro.target.machine import MachineDescription
-
-#: Backward-compatible alias — the worklist set moved to its own module
-#: so the build kernels can share it without importing the allocator.
-_OrderedSet = OrderedSet
-
-#: The selectable interference builds (see :class:`GraphColoring`).
-BUILD_MODES = ("sweep", "mask", "check")
 
 
 class _ClassColoring:
@@ -87,15 +73,13 @@ class _ClassColoring:
 
     def __init__(self, fn: Function, machine: MachineDescription,
                  shared: SharedAnalyses, regclass: RegClass,
-                 emitter: SpillCodeEmitter, stats: AllocationStats,
-                 build: str = "sweep"):
+                 emitter: SpillCodeEmitter, stats: AllocationStats):
         self.fn = fn
         self.machine = machine
         self.shared = shared
         self.regclass = regclass
         self.emitter = emitter
         self.stats = stats
-        self.build_mode = build
         self.precolored_regs = list(machine.regs(regclass))
         self.n_pre = len(self.precolored_regs)
         # Color preference: caller-saved first; a temporary that can live
@@ -139,7 +123,7 @@ class _ClassColoring:
         while True:
             self.rounds += 1
             self._init_round()
-            self._build()
+            build_interference(self)
             self.total_edges += self.graph.edge_count()
             self._make_worklists()
             while (self.simplify_wl or self.worklist_moves
@@ -201,22 +185,6 @@ class _ClassColoring:
         # in for the old ``{r: r}`` seeding.
         self.color: list[int] = list(range(self.n_pre)) + [0] * (n - self.n_pre)
         self.cost: list[float] = [0.0] * n
-
-    # ------------------------------------------------------------------
-    # Build (selectable: sparse sweep, mask oracle, or both + compare).
-    # ------------------------------------------------------------------
-    def _build(self) -> None:
-        if self.build_mode == "sweep":
-            build_interference(self)
-            return
-        ref = reference_build(self.fn, self.machine, self.shared,
-                              self.regclass, self.precolored_regs,
-                              self.initial)
-        if self.build_mode == "mask":
-            adopt_reference(self, ref)
-        else:  # "check": run the sweep too and compare byte for byte.
-            build_interference(self)
-            assert_matches_reference(self, ref)
 
     def _make_worklists(self) -> None:
         degree = self.graph.degree
@@ -529,21 +497,10 @@ class _ClassColoring:
 
 
 class GraphColoring(RegisterAllocator):
-    """George–Appel iterated register coalescing over both register files.
+    """George–Appel iterated register coalescing over both register files."""
 
-    Args:
-        build: Which interference build to run each round — ``"sweep"``
-            (default, the sparse interval-sweep kernel), ``"mask"`` (the
-            retained per-instruction oracle), or ``"check"`` (both, with
-            a byte-for-byte comparison; the differential-testing mode).
-    """
-
-    def __init__(self, build: str = "sweep") -> None:
-        if build not in BUILD_MODES:
-            raise ValueError(f"unknown interference build {build!r}; "
-                             f"expected one of {BUILD_MODES}")
+    def __init__(self) -> None:
         self.name = "graph coloring"
-        self.build = build
 
     def allocate_function(self, fn: Function, machine: MachineDescription,
                           shared: SharedAnalyses, emitter: SpillCodeEmitter,
@@ -552,7 +509,7 @@ class GraphColoring(RegisterAllocator):
         edges = 0
         for regclass in (RegClass.GPR, RegClass.FPR):
             coloring = _ClassColoring(fn, machine, shared, regclass, emitter,
-                                      stats, build=self.build)
+                                      stats)
             with stats.profiler.phase(f"allocate.color.{regclass.name.lower()}"):
                 coloring.run()
             rounds += coloring.rounds

@@ -2,9 +2,9 @@
 
 Nodes are physical registers (precolored) and temporaries.  The adjacency
 relation is stored two ways, following George & Appel: a constant-time
-membership structure (here the paper's lower-triangular bit matrix,
-Section 3: "we use a lower-triangular bit matrix, rather than a hash
-table, to record the adjacency relation") and adjacency lists for the
+membership structure (the paper's Section 3 uses "a lower-triangular bit
+matrix, rather than a hash table, to record the adjacency relation";
+here per-node int bitmasks play that role) and adjacency lists for the
 non-precolored nodes.  Precolored nodes have effectively infinite degree
 and carry no adjacency lists.
 """
@@ -15,47 +15,6 @@ from repro.ir.temp import PhysReg, Temp
 
 #: A node of the interference graph.
 Node = Temp | PhysReg
-
-
-class TriangularBitMatrix:
-    """A lower-triangular bit matrix over ``n`` indexed nodes.
-
-    ``set(i, j)``/``test(i, j)`` are symmetric; the pair is stored once at
-    row ``max(i, j)``, column ``min(i, j)``.  Backed by a ``bytearray`` so
-    single-bit updates are O(1).
-    """
-
-    __slots__ = ("n", "_bits")
-
-    def __init__(self, n: int):
-        self.n = n
-        self._bits = bytearray((n * (n - 1) // 2 + 7) // 8)
-
-    @staticmethod
-    def _index(i: int, j: int) -> int:
-        if i < j:
-            i, j = j, i
-        return i * (i - 1) // 2 + j
-
-    def set(self, i: int, j: int) -> None:
-        """Mark nodes ``i`` and ``j`` as adjacent (no-op on the diagonal)."""
-        if i == j:
-            return
-        k = self._index(i, j)
-        self._bits[k >> 3] |= 1 << (k & 7)
-
-    def test(self, i: int, j: int) -> bool:
-        """True when nodes ``i`` and ``j`` are adjacent."""
-        if i == j:
-            return False
-        k = self._index(i, j)
-        return bool(self._bits[k >> 3] >> (k & 7) & 1)
-
-    def popcount(self) -> int:
-        """Number of distinct adjacent pairs (the graph's edge count)."""
-        # One arbitrary-precision int popcount beats a Python-level loop
-        # over the bytes by orders of magnitude on big graphs.
-        return int.from_bytes(self._bits, "little").bit_count()
 
 
 class IndexGraph:
@@ -70,9 +29,9 @@ class IndexGraph:
     (``adj_mask``); the membership test the paper's lower-triangular bit
     matrix provided is a single shift-and-test against a mask, and the
     edge count is the mask popcounts halved.  Insertion-ordered neighbour
-    lists are kept for the non-precolored nodes exactly as
-    :class:`InterferenceGraph` keeps them — ascending-index bulk adds,
-    so iteration order is byte-identical to the mask-based oracle build.
+    lists are kept for the non-precolored nodes — ascending-index bulk
+    adds, so iteration order is byte-identical to the mask-based oracle
+    build kept with the tests.
 
     Attributes:
         nodes: All nodes, precolored registers first.
@@ -153,100 +112,3 @@ class IndexGraph:
         """Distinct interference edges (Table 3's 'interference graph
         edges' column); every edge sets a bit in both endpoint masks."""
         return sum(m.bit_count() for m in self.adj_mask) // 2
-
-
-class InterferenceGraph:
-    """Adjacency for one coloring round.
-
-    Attributes:
-        nodes: All nodes, precolored registers first (their indices are
-            stable across queries).
-        matrix: The triangular bit matrix over node indices.
-        adj_list: Neighbours of each non-precolored node, as an
-            insertion-ordered dict keyed by neighbour — iteration order
-            must not depend on hash randomization, or worklist order (and
-            therefore coloring decisions) would vary run to run.
-        adj_mask: Per node index, the neighbour set as an int bitmask
-            (bit ``i`` = adjacent to ``nodes[i]``) — mirrors ``matrix``
-            exactly and lets the build add a def's edges against a whole
-            live mask at once instead of testing pair by pair.
-        degree: Current degree per node (precolored: a huge constant).
-    """
-
-    #: Effectively-infinite degree for precolored nodes.
-    INFINITE = 1 << 30
-
-    def __init__(self, precolored: list[PhysReg], temps: list[Temp]):
-        self.nodes: list[Node] = [*precolored, *temps]
-        self.index: dict[Node, int] = {n: i for i, n in enumerate(self.nodes)}
-        self.precolored: set[Node] = set(precolored)
-        self.matrix = TriangularBitMatrix(len(self.nodes))
-        self.adj_list: dict[Node, dict[Node, None]] = {t: {} for t in temps}
-        self.adj_mask: list[int] = [0] * len(self.nodes)
-        self.degree: dict[Node, int] = {t: 0 for t in temps}
-        for reg in precolored:
-            self.degree[reg] = self.INFINITE
-
-    def add_edge(self, u: Node, v: Node) -> None:
-        """Record interference between ``u`` and ``v`` (idempotent)."""
-        if u == v:
-            return
-        i, j = self.index[u], self.index[v]
-        if self.matrix.test(i, j):
-            return
-        self.matrix.set(i, j)
-        self.adj_mask[i] |= 1 << j
-        self.adj_mask[j] |= 1 << i
-        if u not in self.precolored:
-            self.adj_list[u][v] = None
-            self.degree[u] += 1
-        if v not in self.precolored:
-            self.adj_list[v][u] = None
-            self.degree[v] += 1
-
-    def add_edges_from_mask(self, d: Node, live_mask: int) -> None:
-        """``add_edge(nodes[i], d)`` for every bit ``i`` of ``live_mask``.
-
-        Already-adjacent nodes (and ``d`` itself) are masked out in one
-        int operation, so the loop body runs only for *new* neighbours —
-        in ascending index order, which keeps adjacency-list insertion
-        order identical to a pairwise build that sorts the live set by
-        node index.
-        """
-        di = self.index[d]
-        new = live_mask & ~self.adj_mask[di] & ~(1 << di)
-        if not new:
-            return
-        nodes = self.nodes
-        adj_mask = self.adj_mask
-        adj_list = self.adj_list
-        degree = self.degree
-        matrix = self.matrix
-        precolored = self.precolored
-        d_adj = None if d in precolored else adj_list[d]
-        d_bit = 1 << di
-        remaining = new
-        while remaining:
-            low = remaining & -remaining
-            remaining ^= low
-            li = low.bit_length() - 1
-            l = nodes[li]
-            matrix.set(li, di)
-            adj_mask[li] |= d_bit
-            if l not in precolored:
-                adj_list[l][d] = None
-                degree[l] += 1
-            if d_adj is not None:
-                d_adj[l] = None
-        adj_mask[di] |= new
-        if d_adj is not None:
-            degree[d] += new.bit_count()
-
-    def interferes(self, u: Node, v: Node) -> bool:
-        """Constant-time adjacency test (the bit-matrix query)."""
-        return self.matrix.test(self.index[u], self.index[v])
-
-    def edge_count(self) -> int:
-        """Distinct interference edges (Table 3's 'interference graph
-        edges' column)."""
-        return self.matrix.popcount()

@@ -1,7 +1,7 @@
 """Sparse interval-sweep interference build.
 
 The mask-based build (kept verbatim as the oracle in
-:mod:`repro.allocators.coloring.reference`) walks *every* instruction of
+``tests/oracles/coloring_reference.py``) walks *every* instruction of
 every block each round, re-filtering operand lists per register class and
 hashing ``Temp`` objects throughout — O(instrs x per-instruction object
 work), which made ``interference.fpppp`` the pipeline's wall-clock
@@ -49,8 +49,8 @@ def build_interference(col) -> None:
     :class:`~repro.allocators.coloring.ifgraph.IndexGraph`, ``cost`` a
     zeroed float list, ``moves``/``move_list``/``worklist_moves`` empty.
     Every observable — edge set, adjacency insertion order, degrees,
-    costs, move discovery order — is byte-identical to
-    :func:`~repro.allocators.coloring.reference.reference_build`.
+    costs, move discovery order — is byte-identical to the mask-based
+    oracle build in ``tests/oracles/coloring_reference.py``.
     """
     fn = col.fn
     regclass = col.regclass

@@ -35,7 +35,6 @@ from repro.fuzz.shrink import reference_outcome, shrink_module
 from repro.ir.module import Module
 from repro.ir.printer import print_module
 from repro.passes.verify_alloc import AllocationVerifyError
-from repro.pipeline import run_allocator
 from repro.pm.batch import run_batch
 from repro.pm.session import CompilationSession
 from repro.sim import SimulationError, outputs_equal, simulate
@@ -152,13 +151,15 @@ def check_config(module: Module, machine: MachineDescription,
     Returns ``("skip", reason)`` when the machine is legitimately too
     small, otherwise ``(kind, message)`` describing the divergence.
     ``ref`` is the oracle outcome for the unallocated ``module``.
-    ``session`` lets all eleven grid configurations share one analysis
-    cache and one DCE'd base module (see :mod:`repro.pm`).
+    ``session`` (opened over ``module``) lets all eleven grid
+    configurations share one analysis cache and one DCE'd base module
+    (see :mod:`repro.pm`).
     """
+    if session is None:
+        session = CompilationSession(module, machine)
     try:
-        result = run_allocator(module, config.make(), machine,
-                               verify_dataflow=True, session=session,
-                               context=config.context)
+        result = session.run(config.make(), verify_dataflow=True,
+                             context=config.context)
     except AllocationError as exc:
         return ("skip", str(exc))
     except AllocationVerifyError as exc:

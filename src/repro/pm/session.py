@@ -1,8 +1,8 @@
 """Compilation sessions: one pristine module, many cheap allocator runs.
 
-A :class:`CompilationSession` owns everything the old ``run_allocator``
-re-created per call: the pre-allocation module, the DCE'd form of it,
-and every setup analysis.  Each :meth:`run` then costs one structural
+A :class:`CompilationSession` is the pipeline's one entry point.  It
+owns the pre-allocation module, the DCE'd form of it, and every setup
+analysis.  Each :meth:`run` then costs one structural
 :meth:`~repro.ir.module.Module.clone` (no ``copy.deepcopy``) plus the
 allocator core — the shared analyses are computed at most once per
 function per session and *transferred* onto each run's clone through the
@@ -147,16 +147,41 @@ class CompilationSession:
             profiler: PhaseProfiler | None = None,
             metrics: MetricsRegistry | None = None,
             context: "AllocationContext | None" = None) -> PipelineResult:
-        """Clone the prepared module, allocate, clean up, verify, report.
+        """Clone the prepared module, run DCE → allocation → peephole,
+        verify, report.
 
-        Same contract and flags as :func:`repro.pipeline.run_allocator`
-        (which delegates here); ``trace``/``profiler``/``metrics`` are
-        per-run observability objects, reachable afterwards through the
-        returned ``stats``.  ``context`` configures rematerialization and
-        the seeded stress modes (default: the inert
-        :data:`~repro.spill.DEFAULT_CONTEXT`) — session analyses are
-        context-independent, so runs under different contexts still share
-        one cache.
+        This is the paper's Section 3 pipeline with everything except
+        the allocator held fixed.  ``dce`` and ``peephole`` switch the
+        stages around allocation off (both on by default).
+
+        ``spill_cleanup`` additionally runs the post-allocation spill-code
+        cleanup the paper sketches as future work (store-to-load
+        forwarding and dead spill-store elimination) — off by default so
+        measurements reflect the paper's pipeline, on for the extension
+        ablation.
+
+        ``verify`` runs the structural post-allocation verifier (on by
+        default).  ``verify_dataflow`` additionally runs the
+        path-sensitive dataflow verifier
+        (:func:`repro.passes.verify_alloc.verify_dataflow`) right after
+        allocation — before spill cleanup and the peephole, which rewrite
+        the allocator's output.  It assumes every source temporary is
+        defined before use on every path, which hand-written IR need not
+        guarantee, so it stays opt-in.
+
+        ``trace``/``profiler``/``metrics`` plug per-run observability
+        into every stage (see :mod:`repro.obs`); defaults are
+        no-op/fresh objects, reachable afterwards through the returned
+        ``stats``.  The session's analysis-cache counters
+        (``pm.analysis.*``) land in the session's own ``metrics``; pass
+        the same registry to both to see every counter in one place.
+
+        ``context`` (an :class:`~repro.spill.AllocationContext`) switches
+        on rematerialization and the seeded stress modes; omitted, the
+        run uses the inert :data:`~repro.spill.DEFAULT_CONTEXT` and
+        reproduces the paper's pipeline exactly.  Session analyses are
+        context-independent, so runs under different contexts still
+        share one cache.
         """
         prof = profiler or PhaseProfiler()
         with prof.phase("pipeline.dce"):

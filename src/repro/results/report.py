@@ -385,16 +385,35 @@ def check_against_goldens(rendered: dict[str, str], golden_dir: Path,
 # ----------------------------------------------------------------------
 # Perf trajectories: BENCH_*.json documents plus stored perf records.
 # ----------------------------------------------------------------------
+def bench_points(repo_root: str | Path = ".") -> list[tuple[int, Path]]:
+    """The trajectory files ``BENCH_<n>.json`` under ``repo_root`` as
+    ``(n, path)`` pairs in numeric order.  Other ``BENCH_*.json`` names
+    (e.g. a ``repro serve --soak --bench-out BENCH_soak.json``) are not
+    trajectory points and are left out."""
+    pairs = []
+    for path in Path(repo_root).glob("BENCH_*.json"):
+        match = re.fullmatch(r"BENCH_(\d+)", path.stem)
+        if match:
+            pairs.append((int(match.group(1)), path))
+    return sorted(pairs)
+
+
 def _bench_documents(repo_root: Path) -> list[tuple[str, dict]]:
     points = []
-    for path in sorted(Path(repo_root).glob("BENCH_*.json"),
-                       key=lambda p: int(re.search(r"(\d+)", p.stem).group())):
+    for _, path in bench_points(repo_root):
         try:
             with open(path) as fh:
                 points.append((path.name, json.load(fh)))
         except (OSError, json.JSONDecodeError):
             continue
     return points
+
+
+#: The per-cell tables under the group table: (cell prefix, title).
+_CELL_TRAJECTORIES = (
+    ("sim", "Simulator trajectory (per-cell medians)"),
+    ("interference", "Interference-build trajectory (per-cell medians)"),
+)
 
 
 def render_perf_trajectory(store: ResultStore | None = None,
@@ -440,12 +459,10 @@ def render_perf_trajectory(store: ResultStore | None = None,
     out = format_table(headers, [
         [cell if cell is not None else "" for cell in row] for row in rows],
         title="Perf trajectory (group medians per recorded point)")
-    detail = render_sim_trajectory(repo_root=repo_root)
-    if detail:
-        out += "\n\n" + detail
-    detail = render_interference_trajectory(repo_root=repo_root)
-    if detail:
-        out += "\n\n" + detail
+    for prefix, title in _CELL_TRAJECTORIES:
+        detail = _render_cell_trajectory(prefix, title, repo_root=repo_root)
+        if detail:
+            out += "\n\n" + detail
     soaks = render_serve_soaks(store, repo_root=repo_root)
     if soaks:
         out += "\n\n" + soaks
@@ -497,23 +514,6 @@ def _render_cell_trajectory(prefix: str, title: str,
         row.extend([""] * (width - len(row)))
     headers = ["trajectory", "phase"] + [f"{n} (ms)" for n in names]
     return format_table(headers, rows, title=title)
-
-
-def render_sim_trajectory(repo_root: str | Path = ".") -> str:
-    """Per-benchmark trajectory of the ``sim.*`` cells across every
-    ``BENCH_*.json`` point (the PR 5 pre-decode rewrite, the PR 10
-    dense-state rewrite, ...)."""
-    return _render_cell_trajectory(
-        "sim", "Simulator trajectory (per-cell medians)",
-        repo_root=repo_root)
-
-
-def render_interference_trajectory(repo_root: str | Path = ".") -> str:
-    """Per-benchmark trajectory of the ``interference.*`` cells (the
-    PR 5 mask-based build, the PR 7 interval sweep, ...)."""
-    return _render_cell_trajectory(
-        "interference", "Interference-build trajectory (per-cell medians)",
-        repo_root=repo_root)
 
 
 def render_serve_soaks(store: ResultStore | None = None,
@@ -634,11 +634,10 @@ def render_runs(store: ResultStore) -> str:
 
 
 __all__ = ["FIGURE3_KEYS", "MissingCells", "REPORT_FILES", "TIMING_FILES",
-           "ablation_rows", "block_order_rows", "check_against_goldens",
-           "diff_runs", "figure3_rows", "render_ablations", "render_all",
-           "render_block_order", "render_figure3",
-           "render_interference_trajectory", "render_perf_trajectory",
-           "render_remat", "render_runs", "render_section31",
-           "render_serve_soaks", "render_sim_trajectory", "render_table1",
-           "render_table2", "render_table3", "remat_rows", "section31_rows",
-           "table1_rows", "table2_rows", "table3_rows"]
+           "ablation_rows", "bench_points", "block_order_rows",
+           "check_against_goldens", "diff_runs", "figure3_rows",
+           "render_ablations", "render_all", "render_block_order",
+           "render_figure3", "render_perf_trajectory", "render_remat",
+           "render_runs", "render_section31", "render_serve_soaks",
+           "render_table1", "render_table2", "render_table3", "remat_rows",
+           "section31_rows", "table1_rows", "table2_rows", "table3_rows"]

@@ -3,7 +3,8 @@
 Every observable the evaluation reports — a Table 1 quality cell, a
 Table 3 timing cell, a perf-bench run — is one *record* in this store.
 Records live in append-only JSONL segment files (one segment per suite
-invocation), and an index maps each logical *cell* to its newest record:
+invocation); on open, the store maps each logical *cell* to its newest
+record:
 
 * **cell key** (:class:`CellKey`) — the coordinates of one measurement:
   workload (``analog:doduc``, ``synthetic:6218``, ``fuzz:7``), block
@@ -23,21 +24,16 @@ are byte-stable)::
 
     <root>/segments/seg-r0001.jsonl   one record per line, append-only
     <root>/runs.jsonl                 one manifest per suite invocation
-    <root>/index.json                 ident -> newest record seq (a cache;
-                                      rebuilt from the segments on open)
     <root>/.lock                      advisory flock for cross-process runs
 
 Durability contract (what a ``kill -9`` can and cannot lose):
 
-* **Commit point = ``finish_run``** — the segment and ``runs.jsonl``
-  are flushed *and* ``fsync``'d there, and ``index.json`` is replaced
-  atomically (tempfile + ``os.replace``), so a crash never leaves a
-  half-written index and a finished run is never lost.
+* **Commit point = ``finish_run``** — the segment, ``runs.jsonl`` and
+  both directories holding them are flushed *and* ``fsync``'d there, so
+  a finished run is never lost.
 * A crash *mid-append* can leave a torn final JSONL line; loading
   skips it with a warning (``results.load.torn_lines``) instead of
-  raising, and appends re-align on a fresh line.  ``index.json`` is
-  only ever a convenience snapshot — a corrupt one is rebuilt from the
-  segments on the next open, never trusted.
+  raising, and appends re-align on a fresh line.
 * Concurrent writers (a server and a CLI sharing one cache directory)
   are serialized by an advisory ``fcntl.flock`` held from
   :meth:`begin_run` to :meth:`finish_run`; ``begin_run`` re-reads the
@@ -46,8 +42,7 @@ Durability contract (what a ``kill -9`` can and cannot lose):
 
 Store behaviour is metered through :mod:`repro.obs.metrics` as
 ``results.cells.computed`` / ``.hits`` / ``.invalidated`` (plus
-``results.load.torn_lines`` / ``results.index.rebuilt`` for the
-crash-recovery paths).
+``results.load.torn_lines`` for the crash-recovery path).
 
 See ``docs/REPORTING.md`` for the record schema and a cookbook.
 """
@@ -57,7 +52,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -148,34 +142,11 @@ def read_jsonl(path: Path, *, metrics: MetricsRegistry | None = None,
             yield doc
 
 
-def atomic_write_json(path: Path, doc: Any) -> None:
-    """Write ``doc`` as JSON to ``path`` atomically: tempfile in the
-    same directory, fsync, then ``os.replace``.  Readers see either the
-    old complete file or the new complete file, never a torn one."""
-    path = Path(path)
-    fd, tmp_name = tempfile.mkstemp(prefix=path.name + ".",
-                                    suffix=".tmp", dir=path.parent)
-    try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-            _fsync(fh)
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
-    _fsync_dir(path.parent)
-
-
 class StoreLock:
     """A re-entrant advisory lock over one store root.
 
     ``flock`` serializes *processes*; the depth counter makes nested
-    acquisitions within one store object free (``finish_run`` writes the
-    index while still holding the run's lock).  On platforms without
+    acquisitions within one store object free.  On platforms without
     ``fcntl`` the lock degrades to a no-op — single-process use stays
     correct, and every documented multi-writer workflow runs on POSIX.
     """
@@ -303,9 +274,7 @@ class ResultStore:
     """Append-only store of measurement records under one root directory.
 
     Opening a store scans its segment files (newest record per cell
-    wins) and rewrites nothing; every mutation is an append.  The
-    ``index.json`` written after each run is a convenience snapshot for
-    humans and external tools — correctness never depends on it.
+    wins) and rewrites nothing; every mutation is an append.
     """
 
     def __init__(self, root: str | os.PathLike | None = None, *,
@@ -319,7 +288,6 @@ class ResultStore:
         self._open_segment = None                   # (run_id, file handle)
         self._lock = StoreLock(self.root)
         self._load()
-        self._heal_index()
 
     # ------------------------------------------------------------------
     # Loading.
@@ -333,9 +301,7 @@ class ResultStore:
 
         Fresh dicts are built first and swapped in at the end, so a
         concurrent reader on another thread never observes a
-        half-loaded store.  ``index.json`` is deliberately never read —
-        the segments are the single source of truth, so a corrupt or
-        stale index can only ever cost a rebuild, never correctness.
+        half-loaded store.  The segments are the single source of truth.
         """
         records: dict[int, Record] = {}
         latest: dict[str, int] = {}
@@ -356,29 +322,6 @@ class ResultStore:
             runs = list(read_jsonl(runs_file, metrics=self.metrics))
         self._records, self._latest = records, latest
         self._runs, self._next_seq = runs, next_seq
-
-    def _heal_index(self) -> None:
-        """Rebuild ``index.json`` from the segments when it is missing
-        segments' data, truncated, or outright garbage (a crash mid-write
-        predating atomic replacement, a manual edit...).  Runs once per
-        open; correctness never depends on it, but external tools read
-        the file, so a poisoned snapshot should not outlive one open."""
-        index_file = self.root / "index.json"
-        if not index_file.is_file():
-            return
-        try:
-            with open(index_file) as fh:
-                doc = json.load(fh)
-            stale = (not isinstance(doc, dict)
-                     or len(doc.get("cells", ())) != len(self._latest))
-        except (json.JSONDecodeError, OSError):
-            stale = True
-        if stale:
-            warnings.warn(f"{index_file}: corrupt or stale index snapshot; "
-                          f"rebuilding from segments", stacklevel=2)
-            self.metrics.bump("results.index.rebuilt")
-            with self._lock:
-                self._write_index()
 
     # ------------------------------------------------------------------
     # Reading.
@@ -501,9 +444,9 @@ class ResultStore:
         """Close the open segment and append the run manifest.
 
         This is the store's *commit point*: the segment is fsync'd
-        before closing, the manifest append is fsync'd, and the index
-        snapshot is replaced atomically — after ``finish_run`` returns,
-        no crash (including ``kill -9``) can lose this run's records.
+        before closing, the manifest append is fsync'd, and so are the
+        directories holding them — after ``finish_run`` returns, no crash
+        (including ``kill -9``) can lose this run's records.
         """
         if self._open_segment is None:
             raise RuntimeError("no open run to finish")
@@ -519,7 +462,8 @@ class ResultStore:
             self._append_aligned(self.root / "runs.jsonl",
                                  json.dumps(manifest, sort_keys=True))
             self._runs.append(manifest)
-            self._write_index()
+            # The root holds runs.jsonl (created by the first commit).
+            _fsync_dir(self.root)
             _fsync_dir(self.segments_dir)
         finally:
             self._lock.__exit__(None, None, None)
@@ -554,20 +498,7 @@ class ResultStore:
             fh.write(line + "\n")
             _fsync(fh)
 
-    def _write_index(self) -> None:
-        """Snapshot the ident -> seq map (with code hashes) for humans
-        and external tools; :meth:`_load` never trusts it.  Written via
-        tempfile + ``os.replace`` so a crash mid-write can never leave
-        a torn ``index.json`` behind."""
-        index = {ident: {"seq": seq,
-                         "code_hash": self._records[seq].code_hash,
-                         "run": self._records[seq].run}
-                 for ident, seq in sorted(self._latest.items())}
-        doc = {"schema": SCHEMA_VERSION, "records": len(self._records),
-               "runs": len(self._runs), "cells": index}
-        atomic_write_json(self.root / "index.json", doc)
-
 
 __all__ = ["CellKey", "Record", "ResultStore", "SCHEMA_VERSION",
-           "STORE_ENV", "DEFAULT_STORE", "StoreLock", "atomic_write_json",
-           "content_hash", "read_jsonl", "store_path"]
+           "STORE_ENV", "DEFAULT_STORE", "StoreLock", "content_hash",
+           "read_jsonl", "store_path"]

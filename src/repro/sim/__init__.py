@@ -18,7 +18,6 @@ The simulator plays two roles in the reproduction:
 
 from repro.sim.errors import SimulationError
 from repro.sim.machine import SimOutcome, Simulator, outputs_equal, simulate
-from repro.sim.reference import ReferenceSimulator, reference_simulate
 
-__all__ = ["ReferenceSimulator", "SimOutcome", "SimulationError",
-           "Simulator", "outputs_equal", "reference_simulate", "simulate"]
+__all__ = ["SimOutcome", "SimulationError", "Simulator", "outputs_equal",
+           "simulate"]

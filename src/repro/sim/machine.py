@@ -40,8 +40,8 @@ Opt-in strictness (off by default, used by the fuzz harness):
 Execution model
 ---------------
 
-The module-walking interpreter lives in
-:mod:`repro.sim.reference` (tests only).  This one *pre-decodes*: the
+The module-walking reference interpreter lives with the tests
+(``tests/oracles/sim_reference.py``).  This one *pre-decodes*: the
 first time a function is called, every block is compiled once into a
 flat tuple program — one ``(ctl, handler, cycles, op, spill, args)``
 entry per instruction, with the opcode dispatched through a table of

@@ -11,7 +11,7 @@ from repro.allocators import (
     TwoPassBinpacking,
 )
 from repro.ir.module import Module
-from repro.pipeline import run_allocator
+from repro.pm.session import CompilationSession
 from repro.sim.machine import outputs_equal, simulate
 from repro.target import alpha, tiny
 from repro.target.machine import MachineDescription
@@ -50,7 +50,7 @@ def assert_allocation_preserves_semantics(
     so callers can make additional assertions about counts or stats.
     """
     reference = simulate(module, machine, max_steps=max_steps)
-    result = run_allocator(module, allocator, machine)
+    result = CompilationSession(module, machine).run(allocator)
     outcome = simulate(result.module, machine, max_steps=max_steps)
     assert outputs_equal(outcome.output, reference.output), (
         f"{allocator.name} changed observable output:\n"

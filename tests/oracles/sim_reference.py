@@ -10,7 +10,8 @@ fast path that perturbs semantics fails immediately against this one.
 It is deliberately *not* optimized: operands are re-classified with
 ``isinstance`` on every access and calls recurse one Python frame per
 simulated frame, which is exactly the per-instruction overhead the
-pre-decoded interpreter exists to remove.  Do not use it outside tests.
+pre-decoded interpreter exists to remove.  It lives with the tests, not
+in the shipped package.
 """
 
 from __future__ import annotations
@@ -341,7 +342,7 @@ def reference_simulate(module: Module, machine: MachineDescription, *,
                        poison_calls: bool = True,
                        check_callee_saved: bool = True,
                        trap_poison: bool = False) -> SimOutcome:
-    """Run ``module`` on the reference interpreter (tests only)."""
+    """Run ``module`` on the reference interpreter."""
     sim = ReferenceSimulator(module, machine, max_steps=max_steps,
                              poison_calls=poison_calls,
                              check_callee_saved=check_callee_saved,

@@ -17,7 +17,7 @@ from repro.ir.instr import Instr, Op, SpillKind, SpillPhase
 from repro.ir.module import Module
 from repro.ir.temp import PhysReg, Temp
 from repro.ir.types import RegClass
-from repro.pipeline import run_allocator
+from repro.pm.session import CompilationSession
 from repro.sim import simulate
 from repro.sim.machine import outputs_equal
 from repro.target import tiny
@@ -34,7 +34,8 @@ def two_reg_machine() -> MachineDescription:
 
 
 def run_binpack(module: Module, machine, options: BinpackOptions | None = None):
-    return run_allocator(module, SecondChanceBinpacking(options), machine)
+    return CompilationSession(module, machine).run(
+        SecondChanceBinpacking(options))
 
 
 def figure2_module() -> Module:

@@ -4,17 +4,18 @@ graph, coalescing behaviour, precolored constraints, and spilling."""
 import pytest
 
 from repro.allocators import GraphColoring
-from repro.allocators.coloring.ifgraph import InterferenceGraph, TriangularBitMatrix
 from repro.ir.builder import FunctionBuilder
 from repro.ir.function import Function
 from repro.ir.instr import Instr, Op, SpillPhase
 from repro.ir.module import Module
 from repro.ir.temp import PhysReg, Temp
 from repro.ir.types import RegClass
-from repro.pipeline import run_allocator
+from repro.pm.session import CompilationSession
 from repro.sim import simulate
 from repro.sim.machine import outputs_equal
 from repro.target import tiny
+from tests.oracles.coloring_reference import (InterferenceGraph,
+                                              TriangularBitMatrix)
 
 G = RegClass.GPR
 
@@ -105,7 +106,7 @@ class TestAllocation:
         machine = tiny(6, 4)
         module = diamond_program(machine)
         reference = simulate(module, machine)
-        result = run_allocator(module, GraphColoring(), machine)
+        result = CompilationSession(module, machine).run(GraphColoring())
         outcome = simulate(result.module, machine)
         assert outputs_equal(outcome.output, reference.output)
         assert not result.stats.spill_static
@@ -123,7 +124,7 @@ class TestAllocation:
         b.print_(z)
         b.ret(z)
         module.add_function(fn)
-        result = run_allocator(module, GraphColoring(), machine)
+        result = CompilationSession(module, machine).run(GraphColoring())
         # Both moves become self-moves and are peepholed away.
         assert result.moves_removed >= 2
         assert simulate(result.module, machine).output == [5]
@@ -141,7 +142,7 @@ class TestAllocation:
         b.print_(y)           # y must still be 5
         b.ret()
         module.add_function(fn)
-        result = run_allocator(module, GraphColoring(), machine)
+        result = CompilationSession(module, machine).run(GraphColoring())
         assert simulate(result.module, machine).output == [6, 5]
 
     def test_spill_and_iterate_converges_under_pressure(self):
@@ -158,7 +159,7 @@ class TestAllocation:
         b.ret(acc)
         module.add_function(fn)
         reference = simulate(module, machine)
-        result = run_allocator(module, GraphColoring(), machine)
+        result = CompilationSession(module, machine).run(GraphColoring())
         outcome = simulate(result.module, machine)
         assert outputs_equal(outcome.output, reference.output)
         assert result.stats.spill_static.get((SpillPhase.EVICT, "load"), 0) > 0
@@ -180,12 +181,12 @@ class TestAllocation:
         b.print_(x)  # x lives across the call
         b.ret()
         module.add_function(fn)
-        result = run_allocator(module, GraphColoring(), machine)
+        result = CompilationSession(module, machine).run(GraphColoring())
         # Poisoning would catch a caller-saved assignment.
         assert simulate(result.module, machine).output == [123]
 
     def test_edge_statistics_recorded(self):
         machine = tiny(6, 4)
-        result = run_allocator(diamond_program(machine), GraphColoring(),
-                               machine)
+        result = CompilationSession(diamond_program(machine), machine).run(
+            GraphColoring())
         assert result.stats.interference_edges["main"] > 0

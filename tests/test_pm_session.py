@@ -5,8 +5,8 @@ Covers the contracts docs/ARCHITECTURE.md states:
 * analyze-once — comparing all four allocators in one session computes
   each shared setup analysis at most once per function (the transfer
   path serves every run's clone);
-* faithfulness — a session run produces byte-identical output to a
-  standalone ``run_allocator`` call;
+* faithfulness — a run in a shared session produces byte-identical
+  output to a run in a fresh session of its own;
 * explicit invalidation — after a mutation plus ``invalidate``, stale
   cached results are never served, and the clone link is severed so
   stale results cannot arrive by transfer either;
@@ -26,7 +26,6 @@ from repro.ir.module import Module
 from repro.ir.printer import print_module
 from repro.ir.types import RegClass
 from repro.lang import compile_minic
-from repro.pipeline import run_allocator
 from repro.pm import CompilationSession, DCE_PASS, PEEPHOLE_PASS
 from repro.pm.analysis import (CFG_ANALYSIS, LIFETIMES_ANALYSIS,
                                LIVENESS_ANALYSIS)
@@ -102,9 +101,8 @@ class TestSessionFaithful:
         session, m = session_over()
         shared = session.run(make_allocator(name), verify_dataflow=True,
                              spill_cleanup=True)
-        standalone = run_allocator(compile_minic(SOURCE, m),
-                                   make_allocator(name), m,
-                                   verify_dataflow=True, spill_cleanup=True)
+        standalone = CompilationSession(compile_minic(SOURCE, m), m).run(
+            make_allocator(name), verify_dataflow=True, spill_cleanup=True)
         assert print_module(shared.module) == print_module(standalone.module)
         assert shared.dce_removed == standalone.dce_removed
         assert shared.moves_removed == standalone.moves_removed
@@ -115,13 +113,6 @@ class TestSessionFaithful:
         second = session.run(make_allocator("second-chance"))
         assert print_module(first.module) == print_module(second.module)
         assert first.module is not second.module
-
-    def test_session_rejects_foreign_module(self):
-        session, m = session_over()
-        other = compile_minic(SOURCE, m)
-        with pytest.raises(ValueError, match="session's own module"):
-            run_allocator(other, make_allocator("second-chance"), m,
-                          session=session)
 
     def test_pristine_module_never_mutated(self):
         session, _ = session_over()

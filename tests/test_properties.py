@@ -19,7 +19,7 @@ from repro.ir.parser import parse_module
 from repro.ir.printer import print_module
 from repro.ir.validate import validate_module
 from repro.lifetimes.intervals import RangeSet, compute_lifetimes
-from repro.pipeline import run_allocator
+from repro.pm.session import CompilationSession
 from repro.sim.machine import outputs_equal, simulate
 from repro.target import alpha, tiny
 from repro.workloads.synthetic import random_module
@@ -32,7 +32,7 @@ END_TO_END = settings(max_examples=12, deadline=None,
 
 def _oracle(module, machine, allocator):
     reference = simulate(module, machine, max_steps=2_000_000)
-    result = run_allocator(module, allocator, machine)
+    result = CompilationSession(module, machine).run(allocator)
     outcome = simulate(result.module, machine, max_steps=4_000_000)
     assert outputs_equal(outcome.output, reference.output), (
         f"{allocator.name}: {reference.output[:8]} vs {outcome.output[:8]}")

@@ -10,7 +10,7 @@ from repro.ir.function import Function
 from repro.ir.instr import Instr, Op, SpillPhase
 from repro.ir.module import Module
 from repro.ir.types import RegClass
-from repro.pipeline import run_allocator
+from repro.pm.session import CompilationSession
 from repro.sim import simulate
 from repro.sim.machine import outputs_equal
 from repro.target import tiny
@@ -55,7 +55,8 @@ class TestPlacement:
         machine = tiny(4, 4)
         module = loop_to_entryish_module()
         reference = simulate(module, machine)
-        result = run_allocator(module, SecondChanceBinpacking(), machine)
+        result = CompilationSession(module, machine).run(
+            SecondChanceBinpacking())
         outcome = simulate(result.module, machine)
         assert outputs_equal(outcome.output, reference.output)
         labels = [blk.label for blk in result.module.functions["main"].blocks]
@@ -67,7 +68,8 @@ class TestPlacement:
     def test_split_blocks_only_contain_resolution_and_jump(self):
         machine = tiny(4, 4)
         module = loop_to_entryish_module()
-        result = run_allocator(module, SecondChanceBinpacking(), machine)
+        result = CompilationSession(module, machine).run(
+            SecondChanceBinpacking())
         for blk in result.module.functions["main"].blocks:
             if not blk.label.startswith("split."):
                 continue
@@ -106,7 +108,8 @@ class TestPlacement:
         module.add_function(fn)
         reference = simulate(module, machine)
         assert reference.output == [60, 60, 60, 3]
-        result = run_allocator(module, SecondChanceBinpacking(), machine)
+        result = CompilationSession(module, machine).run(
+            SecondChanceBinpacking())
         outcome = simulate(result.module, machine)
         assert outputs_equal(outcome.output, reference.output)
 
@@ -140,7 +143,7 @@ class TestPlacement:
         module.add_function(fn)
         reference = simulate(module, machine)
         options = BinpackOptions(conservative_consistency=conservative)
-        result = run_allocator(module, SecondChanceBinpacking(options),
-                               machine)
+        result = CompilationSession(module, machine).run(
+            SecondChanceBinpacking(options))
         outcome = simulate(result.module, machine)
         assert outputs_equal(outcome.output, reference.output)

@@ -15,9 +15,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.results.report import (MissingCells, diff_runs, render_figure3,
-                                  render_perf_trajectory, render_runs,
-                                  render_table1, render_table2, table1_rows)
+from repro.results.report import (MissingCells, bench_points, diff_runs,
+                                  render_figure3, render_perf_trajectory,
+                                  render_runs, render_table1, render_table2,
+                                  table1_rows)
 from repro.results.store import CellKey, ResultStore
 
 NAMES = ["alpha-prog", "beta-prog"]
@@ -125,6 +126,20 @@ def test_perf_trajectory_renders_sim_cells(tmp_path):
     assert "4.00x" in text
     # e2e cells stay out of the sim detail table.
     assert "e2e.doduc (ms)" not in text
+
+
+def test_perf_trajectory_skips_non_numeric_bench_files(tmp_path):
+    """Only ``BENCH_<n>.json`` files are trajectory points; a soak
+    document saved as ``BENCH_soak.json`` must not break the report."""
+    doc = {"before": {"mode": "full", "groups": {"sim": 2.0}},
+           "after": {"mode": "full", "groups": {"sim": 1.0}}}
+    (tmp_path / "BENCH_10.json").write_text(json.dumps(doc))
+    (tmp_path / "BENCH_2.json").write_text(json.dumps(doc))
+    (tmp_path / "BENCH_soak.json").write_text(json.dumps(doc))
+    assert [n for n, _ in bench_points(tmp_path)] == [2, 10]
+    text = render_perf_trajectory(None, tmp_path)
+    assert text.index("BENCH_2.json") < text.index("BENCH_10.json")
+    assert "BENCH_soak.json" not in text
 
 
 def _load_perf_bench():

@@ -1,8 +1,8 @@
 """The pre-decoded simulator against the retained reference interpreter.
 
 :mod:`repro.sim.machine` compiles each block into a flat tuple program
-and dispatches through bound handlers; :mod:`repro.sim.reference` is the
-original module-walking interpreter, kept verbatim as the semantic
+and dispatches through bound handlers; :mod:`tests.oracles.sim_reference`
+is the original module-walking interpreter, kept verbatim as the semantic
 oracle.  These tests demand the two agree *exactly* — outputs, results,
 dynamic instruction counts, cycles, per-opcode counts, spill counts, and
 faults (type and message) — over the benchmark analogs, allocated code,
@@ -20,10 +20,10 @@ from repro.ir.instr import Instr, Op
 from repro.ir.module import Module
 from repro.obs import MetricsRegistry
 from repro.pm.session import CompilationSession
-from repro.sim import (SimulationError, outputs_equal, reference_simulate,
-                       simulate)
+from repro.sim import SimulationError, outputs_equal, simulate
 from repro.target import alpha, tiny
 from repro.workloads.programs import PROGRAM_NAMES, build_program
+from tests.oracles.sim_reference import reference_simulate
 
 
 def run_both(module, machine, **kwargs):

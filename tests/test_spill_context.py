@@ -14,7 +14,7 @@ from repro.allocators import ALLOCATOR_FACTORIES
 from repro.ir.instr import Op, SpillKind, SpillPhase
 from repro.lang import compile_minic
 from repro.passes.verify_alloc import verify_dataflow_module
-from repro.pipeline import run_allocator
+from repro.pm.session import CompilationSession
 from repro.sim import simulate
 from repro.spill import DEFAULT_CONTEXT, STRESS_MODES, AllocationContext
 from repro.stats.spill import spill_breakdown
@@ -92,9 +92,10 @@ class TestRematerialization:
 
         machine = tiny(4, 4)
         module = compile_minic(CONST_SRC, machine)
-        base = run_allocator(module, ALLOCATOR_FACTORIES[name](), machine)
-        remat = run_allocator(module, ALLOCATOR_FACTORIES[name](), machine,
-                              context=AllocationContext(remat=True))
+        base = CompilationSession(module, machine).run(
+            ALLOCATOR_FACTORIES[name]())
+        remat = CompilationSession(module, machine).run(
+            ALLOCATOR_FACTORIES[name](), context=AllocationContext(remat=True))
 
         # The dataflow verifier needs pre-allocation operand snapshots,
         # so re-run the allocation in place on a working copy.
@@ -121,8 +122,9 @@ class TestRematerialization:
     def test_remat_instructions_are_tagged_constants(self):
         machine = tiny(4, 4)
         module = compile_minic(CONST_SRC, machine)
-        result = run_allocator(module, ALLOCATOR_FACTORIES["second-chance"](),
-                               machine, context=AllocationContext(remat=True))
+        result = CompilationSession(module, machine).run(
+            ALLOCATOR_FACTORIES["second-chance"](),
+            context=AllocationContext(remat=True))
         tagged = [i for fn in result.module.functions.values()
                   for i in fn.instructions() if i.remat_for is not None]
         assert tagged
@@ -136,8 +138,8 @@ class TestRematerialization:
         machine = tiny(4, 4)
         module = compile_minic(CONST_SRC, machine)
         for name, make in sorted(ALLOCATOR_FACTORIES.items()):
-            plain = run_allocator(module, make(), machine)
-            explicit = run_allocator(module, make(), machine,
-                                     context=DEFAULT_CONTEXT)
+            plain = CompilationSession(module, machine).run(make())
+            explicit = CompilationSession(module, machine).run(
+                make(), context=DEFAULT_CONTEXT)
             assert print_module(plain.module) == \
                 print_module(explicit.module), name

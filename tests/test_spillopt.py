@@ -10,7 +10,7 @@ from repro.ir.module import Module
 from repro.ir.temp import PhysReg, StackSlot
 from repro.ir.types import RegClass
 from repro.passes.spillopt import cleanup_spill_code
-from repro.pipeline import run_allocator
+from repro.pm.session import CompilationSession
 from repro.sim import simulate
 from repro.sim.machine import outputs_equal
 from repro.target import alpha, tiny
@@ -148,8 +148,8 @@ class TestEndToEnd:
         machine = tiny(4, 4)
         module = random_module(seed, machine, size=22)
         reference = simulate(module, machine, max_steps=2_000_000)
-        result = run_allocator(module, SecondChanceBinpacking(), machine,
-                               spill_cleanup=True)
+        result = CompilationSession(module, machine).run(
+            SecondChanceBinpacking(), spill_cleanup=True)
         outcome = simulate(result.module, machine, max_steps=4_000_000)
         assert outputs_equal(outcome.output, reference.output)
 
@@ -158,9 +158,9 @@ class TestEndToEnd:
         back without changing behaviour."""
         machine = alpha()
         module = build_program("wc", machine)
-        plain = run_allocator(module, TwoPassBinpacking(), machine)
-        cleaned = run_allocator(module, TwoPassBinpacking(), machine,
-                                spill_cleanup=True)
+        plain = CompilationSession(module, machine).run(TwoPassBinpacking())
+        cleaned = CompilationSession(module, machine).run(TwoPassBinpacking(),
+                                                          spill_cleanup=True)
         out_plain = simulate(plain.module, machine)
         out_clean = simulate(cleaned.module, machine)
         assert outputs_equal(out_clean.output, out_plain.output)

@@ -5,9 +5,8 @@ a long-running service and the CLI now routinely share one store
 directory, and a crashed soak run must never poison the cache that
 survives it.  These tests pin the contract:
 
-* ``index.json`` is written atomically and a corrupt/truncated/garbage
-  index is rebuilt from the segments on open — never trusted, never
-  fatal;
+* the segments are the only index: no ``index.json`` is written, and
+  one left over from an older store is never read;
 * a torn final JSONL line (a writer killed mid-append) is skipped with
   a warning, and committed records before it still load;
 * ``runs.jsonl`` appends re-align after a torn tail instead of fusing
@@ -31,8 +30,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.results.store import (CellKey, ResultStore, atomic_write_json,
-                                 read_jsonl)
+from repro.results.store import CellKey, ResultStore, read_jsonl
 
 KEY_A = CellKey(workload="analog:wc", allocator="second-chance")
 KEY_B = CellKey(workload="analog:sort", allocator="coloring")
@@ -47,45 +45,26 @@ def _commit(root, key, code_hash="h1", data=None, label="t"):
 
 
 # ----------------------------------------------------------------------
-# index.json: atomic writes, rebuild-not-raise on corruption.
+# No index.json: the segments are the only index.
 # ----------------------------------------------------------------------
-def test_index_written_atomically(tmp_path):
-    _commit(tmp_path, KEY_A)
-    index = tmp_path / "index.json"
-    assert index.is_file()
-    doc = json.loads(index.read_text())
-    assert doc["records"] == 1 and KEY_A.ident() in doc["cells"]
-    # No tempfile droppings survive a successful replace.
-    assert not list(tmp_path.glob("index.json.*"))
-
-
-@pytest.mark.parametrize("corruption", [
+@pytest.mark.parametrize("leftover", [
     "garbage not json {{{",
     "",                                         # truncated to nothing
     '{"schema": 1, "cells": {"half":',          # torn mid-write
     "[1, 2, 3]",                                # wrong shape entirely
-])
-def test_corrupt_index_is_rebuilt_from_segments(tmp_path, corruption):
+], ids=["garbage", "empty", "torn", "wrong-shape"])
+def test_index_json_is_neither_written_nor_read(tmp_path, leftover):
     _commit(tmp_path, KEY_A, data={"x": 41})
-    (tmp_path / "index.json").write_text(corruption)
-    with pytest.warns(UserWarning, match="rebuilding from segments"):
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        ".lock", "runs.jsonl", "segments"]
+    # An index.json left over from an older store layout is inert.
+    (tmp_path / "index.json").write_text(leftover)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         reopened = ResultStore(tmp_path)
-    # The records were never at risk...
     assert reopened.lookup(KEY_A, "h1").data == {"x": 41}
-    assert reopened.metrics.get("results.index.rebuilt") == 1
-    # ...and the snapshot is healthy again for external readers.
-    doc = json.loads((tmp_path / "index.json").read_text())
-    assert doc["cells"][KEY_A.ident()]["seq"] == 1
-
-
-def test_stale_index_is_refreshed_on_open(tmp_path):
-    _commit(tmp_path, KEY_A)
-    atomic_write_json(tmp_path / "index.json",
-                      {"schema": 1, "records": 0, "runs": 0, "cells": {}})
-    with pytest.warns(UserWarning):
-        ResultStore(tmp_path)
-    doc = json.loads((tmp_path / "index.json").read_text())
-    assert KEY_A.ident() in doc["cells"]
+    assert reopened.metrics.snapshot() == {"results.cells.hits": 1}
+    assert (tmp_path / "index.json").read_text() == leftover
 
 
 # ----------------------------------------------------------------------
@@ -113,8 +92,7 @@ def test_truncated_final_line_is_skipped(tmp_path):
     segment = next((tmp_path / "segments").glob("seg-*.jsonl"))
     raw = segment.read_bytes()
     segment.write_bytes(raw[:-7])  # chop mid-way through the last record
-    # The chop also makes index.json stale, so the reopen both skips the
-    # torn line and rebuilds the index — expect the pair.
+    # The reopen warns about the torn line.
     with pytest.warns(UserWarning) as caught:
         reopened = ResultStore(tmp_path)
     assert any("torn" in str(w.message) for w in caught)

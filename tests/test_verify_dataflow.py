@@ -11,7 +11,7 @@ Three properties pin the verifier's value:
   to the wrong register) is caught with a precise message; in
   particular, every mutation the *simulator* can observe misbehaving is
   also caught statically (mutation self-test).
-* **Pipeline wiring** — ``run_allocator(verify_dataflow=True)``
+* **Pipeline wiring** — ``CompilationSession.run(verify_dataflow=True)``
   snapshots after DCE and verifies right after allocation.
 """
 
@@ -28,7 +28,7 @@ from repro.passes.dce import eliminate_dead_code_module
 from repro.passes.verify_alloc import (AllocationVerifyError,
                                        snapshot_module, verify_dataflow,
                                        verify_dataflow_module)
-from repro.pipeline import run_allocator
+from repro.pm.session import CompilationSession
 from repro.sim import SimulationError, outputs_equal, simulate
 from repro.target import alpha, tiny
 from repro.workloads.synthetic import random_module
@@ -166,11 +166,11 @@ class TestPipelineWiring:
     def test_run_allocator_flag(self, allocator):
         machine = tiny(6, 6)
         module = random_module(5, machine, size=25)
-        result = run_allocator(module, ALLOCATOR_FACTORIES[allocator](),
-                               machine, verify_dataflow=True)
+        result = CompilationSession(module, machine).run(
+            ALLOCATOR_FACTORIES[allocator](), verify_dataflow=True)
         # The flag must not change the produced code, only check it.
-        plain = run_allocator(module, ALLOCATOR_FACTORIES[allocator](),
-                              machine)
+        plain = CompilationSession(module, machine).run(
+            ALLOCATOR_FACTORIES[allocator]())
         ref = simulate(module, machine)
         out = simulate(result.module, machine)
         assert outputs_equal(ref.output, out.output)
@@ -184,5 +184,6 @@ class TestPipelineWiring:
         not produce false positives."""
         machine = tiny(4, 4)
         module = random_module(1, machine, size=35)
-        run_allocator(module, ALLOCATOR_FACTORIES["second-chance"](),
-                      machine, verify_dataflow=True, peephole=True)
+        CompilationSession(module, machine).run(
+            ALLOCATOR_FACTORIES["second-chance"](), verify_dataflow=True,
+            peephole=True)

@@ -8,7 +8,7 @@ from repro.ir.function import Function
 from repro.ir.instr import Instr, Op, SpillPhase
 from repro.ir.module import Module
 from repro.ir.types import RegClass
-from repro.pipeline import run_allocator
+from repro.pm.session import CompilationSession
 from repro.sim import simulate
 from repro.sim.machine import outputs_equal
 from repro.target import tiny
@@ -59,7 +59,7 @@ class TestTwoPass:
         machine = tiny(6, 4)
         module = call_loop_module(machine, 5)
         reference = simulate(module, machine)
-        result = run_allocator(module, TwoPassBinpacking(), machine)
+        result = CompilationSession(module, machine).run(TwoPassBinpacking())
         outcome = simulate(result.module, machine)
         assert outputs_equal(outcome.output, reference.output)
 
@@ -67,7 +67,7 @@ class TestTwoPass:
         """Whole-lifetime homes never disagree across edges."""
         machine = tiny(5, 4)
         module = call_loop_module(machine, 6)
-        result = run_allocator(module, TwoPassBinpacking(), machine)
+        result = CompilationSession(module, machine).run(TwoPassBinpacking())
         assert not any(phase is SpillPhase.RESOLVE
                        for phase, _ in result.stats.spill_static)
 
@@ -79,8 +79,9 @@ class TestTwoPass:
         three times per iteration, the load counts must separate."""
         machine = tiny(6, 4)
         module = call_loop_module(machine, 6)
-        two_pass = run_allocator(module, TwoPassBinpacking(), machine)
-        second = run_allocator(module, SecondChanceBinpacking(), machine)
+        two_pass = CompilationSession(module, machine).run(TwoPassBinpacking())
+        second = CompilationSession(module, machine).run(
+            SecondChanceBinpacking())
         tp_out = simulate(two_pass.module, machine)
         sc_out = simulate(second.module, machine)
         assert outputs_equal(tp_out.output, sc_out.output)
@@ -104,7 +105,7 @@ class TestTwoPass:
         b.print_(acc)
         b.ret(acc)
         module.add_function(fn)
-        result = run_allocator(module, TwoPassBinpacking(), machine)
+        result = CompilationSession(module, machine).run(TwoPassBinpacking())
         stores = result.stats.spill_static.get((SpillPhase.EVICT, "store"), 0)
         loads = result.stats.spill_static.get((SpillPhase.EVICT, "load"), 0)
         assert stores > 0 and loads > 0
@@ -116,7 +117,7 @@ class TestPoletto:
         machine = tiny(4, 4)
         module = call_loop_module(machine, 7)
         reference = simulate(module, machine)
-        result = run_allocator(module, PolettoLinearScan(), machine)
+        result = CompilationSession(module, machine).run(PolettoLinearScan())
         outcome = simulate(result.module, machine)
         assert outputs_equal(outcome.output, reference.output)
 
@@ -139,8 +140,9 @@ class TestPoletto:
         b.print_(t1)
         b.ret()
         module.add_function(fn)
-        poletto = run_allocator(module, PolettoLinearScan(), machine)
-        second = run_allocator(module, SecondChanceBinpacking(), machine)
+        poletto = CompilationSession(module, machine).run(PolettoLinearScan())
+        second = CompilationSession(module, machine).run(
+            SecondChanceBinpacking())
         p_spill = sum(poletto.stats.spill_static.values())
         s_spill = sum(second.stats.spill_static.values())
         assert p_spill >= s_spill
@@ -163,5 +165,5 @@ class TestPoletto:
         b.print_(long_lived)
         b.ret()
         module.add_function(fn)
-        result = run_allocator(module, PolettoLinearScan(), machine)
+        result = CompilationSession(module, machine).run(PolettoLinearScan())
         assert simulate(result.module, machine).output == [10, 999]

@@ -9,7 +9,7 @@ import pytest
 
 from repro.ir.printer import print_module
 from repro.ir.validate import validate_module
-from repro.pipeline import run_allocator
+from repro.pm.session import CompilationSession
 from repro.sim import simulate
 from repro.sim.machine import outputs_equal
 from repro.target import alpha, tiny
@@ -53,7 +53,8 @@ class TestAnalogCatalogue:
         module = build_program("fpppp")
         machine = alpha()
         from repro.allocators import SecondChanceBinpacking
-        result = run_allocator(module, SecondChanceBinpacking(), machine)
+        result = CompilationSession(module, machine).run(
+            SecondChanceBinpacking())
         assert sum(result.stats.spill_static.values()) > 0
 
 
@@ -63,7 +64,7 @@ class TestAnalogsThroughAllocators:
         machine = alpha()
         module = build_program(name, machine)
         reference = simulate(module, machine)
-        result = run_allocator(module, any_allocator, machine)
+        result = CompilationSession(module, machine).run(any_allocator)
         outcome = simulate(result.module, machine)
         assert outputs_equal(outcome.output, reference.output)
 
@@ -105,8 +106,10 @@ class TestScaledModule:
 
     def test_density_grows_with_size(self):
         from repro.allocators import GraphColoring
-        small = run_allocator(scaled_module(150), GraphColoring(), alpha())
-        large = run_allocator(scaled_module(1200), GraphColoring(), alpha())
+        small = CompilationSession(scaled_module(150), alpha()).run(
+            GraphColoring())
+        large = CompilationSession(scaled_module(1200), alpha()).run(
+            GraphColoring())
         small_edges = small.stats.interference_edges["main"]
         large_edges = large.stats.interference_edges["main"]
         small_n = small.stats.candidates["main"]

@@ -29,7 +29,7 @@ import sys
 
 from repro.allocators import ALLOCATOR_FACTORIES, make_allocator
 from repro.ir.printer import print_module
-from repro.pipeline import run_allocator
+from repro.pm.session import CompilationSession
 from repro.sim import simulate
 from repro.target import alpha, tiny
 from repro.workloads.programs import PROGRAM_NAMES, build_program
@@ -38,7 +38,8 @@ MACHINES = {"alpha": alpha, "tiny8": lambda: tiny(8, 8)}
 
 
 def _entry(module, machine, allocator_name: str) -> dict:
-    result = run_allocator(module, make_allocator(allocator_name), machine)
+    result = CompilationSession(module, machine).run(
+        make_allocator(allocator_name))
     text = print_module(result.module)
     outcome = simulate(result.module, machine)
     spill_table = sorted((phase.value, kind, count) for (phase, kind), count

@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import statistics
 import sys
 import time
@@ -51,6 +50,7 @@ from pathlib import Path
 from repro.lifetimes import compute_lifetimes
 from repro.pm.batch import compare_allocators
 from repro.pm.session import CompilationSession
+from repro.results.report import bench_points
 from repro.sim import simulate
 from repro.target import alpha
 from repro.lang.lower import compile_minic
@@ -171,15 +171,6 @@ def run_suite(*, quick: bool = False, reps: int = 3,
 # ----------------------------------------------------------------------
 # Trajectory files (BENCH_*.json) and the CI regression gate.
 # ----------------------------------------------------------------------
-def _bench_numbers(repo_root: str | Path = ".") -> list[tuple[int, Path]]:
-    pairs = []
-    for path in Path(repo_root).glob("BENCH_*.json"):
-        match = re.fullmatch(r"BENCH_(\d+)", path.stem)
-        if match:
-            pairs.append((int(match.group(1)), path))
-    return sorted(pairs)
-
-
 def resolve_record_path(spec: str, phase: str,
                         repo_root: str | Path = ".") -> str:
     """Resolve ``--record auto``: ``before`` opens the next trajectory
@@ -187,7 +178,7 @@ def resolve_record_path(spec: str, phase: str,
     existing file (or starts ``BENCH_1.json`` on an empty repo)."""
     if spec != "auto":
         return spec
-    existing = _bench_numbers(repo_root)
+    existing = bench_points(repo_root)
     if phase == "before" or not existing:
         nxt = existing[-1][0] + 1 if existing else 1
         return str(Path(repo_root) / f"BENCH_{nxt}.json")
