@@ -36,7 +36,8 @@ from repro.results.store import CellKey, ResultStore, content_hash
 #: Bumped when the artifact payload layout changes incompatibly; old
 #: cache entries then miss and are recomputed, never misread.
 #: v2: the metrics snapshot gained the simulation counters (``sim.*``).
-ARTIFACT_SCHEMA = 2
+#: v3: ... and ``sim.decode.segments_compiled`` (the simulator's hot tier).
+ARTIFACT_SCHEMA = 3
 
 
 def artifact_cache_key(request: dict) -> tuple[CellKey, str]:

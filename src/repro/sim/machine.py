@@ -1,4 +1,4 @@
-"""The executing simulator (pre-decoded, dense-state interpreter).
+"""The executing simulator (pre-decoded, segment-tiered interpreter).
 
 Semantics notes:
 
@@ -37,21 +37,56 @@ Opt-in strictness (off by default, used by the fuzz harness):
   computes the poison constant is unaffected; the trap does not follow
   poison through memory (a stored poison value reloads silently).
 
-Execution model
----------------
+Execution model: segments
+-------------------------
 
 The module-walking reference interpreter lives with the tests
-(``tests/oracles/sim_reference.py``).  This one *pre-decodes*: the
-first time a function is called, every block is compiled once into a
-flat tuple program — one ``(ctl, handler, cycles, op, spill, args)``
-entry per instruction, with the opcode dispatched through a table of
-bound handler methods and every operand resolved at decode time into its
-slot kind (temporary / physical register / stack slot / immediate /
-branch target).  The per-instruction loop then touches no ``isinstance``,
-no dict-of-dicts block lookup, and no signature re-inspection; simulated
-calls push entries on an explicit frame stack instead of recursing one
-Python frame per call, so call depth is bounded by ``MAX_CALL_DEPTH``
-alone, not by the host interpreter's recursion limit.
+(``tests/oracles/sim_reference.py``).  This one *pre-decodes*: the first
+time a function is called, every block is cut into **segments**.  A
+segment is a maximal run of straight-line instructions ending at a
+``call``/``br``/``jmp``/``ret`` (which belongs to the segment) or at a
+fell-off-block point.  Every operand is resolved at decode time into its
+slot kind (temporary / physical register / guarded register / a
+pre-composed fault), every branch target into a segment id, and every
+per-instruction constant (cycles, opcode index, spill category) into the
+segment's static tables.  Simulated calls push entries on an explicit
+frame stack, so call depth is bounded by ``MAX_CALL_DEPTH`` alone.
+
+The run loop charges ``steps``, ``cycles`` and one entry counter per
+*segment*, not per instruction; ``op_counts``/``spill_counts`` are folded
+on exit from entry counts × each segment's static histogram.
+
+Two tiers run a segment's straight-line body under that one loop:
+
+* **Cold.**  The decoded ``(index, handler, args)`` tuples: one handler
+  call per instruction.
+* **Hot.**  On its ``HOT_THRESHOLD``-th entry a segment is compiled once
+  into a generated Python function with one source line per
+  instruction, operands inlined as ``T[i]``/``R[i]``/``S[i]`` (frame
+  temporaries, register file, frame stack slots).  Later entries call it.
+
+Compiling is not free: ``compile()`` costs several times the decoder per
+instruction, so compiling eagerly would slow every run whose code
+executes once (Table-3 modules, serve requests).  ``HOT_THRESHOLD`` is
+compile cost per line divided by the per-entry saving per line; both
+scale with segment length, so one entry count is the right unit (see
+``docs/PERFORMANCE.md`` for the measurement).
+
+**Exact faults and budget.**  A fault inside a body finds its segment
+already charged in full.  The loop learns the faulting instruction's
+index — the cold loop carries it, and in generated code it is the
+traceback line of the generated frame (line ``j + 2`` is instruction
+``j``) — and un-charges the tail after it, so partial counts match the
+reference exactly.  When ``steps + n`` would pass ``max_steps``, the
+segment's remaining budget runs stepwise through the cold handlers, so
+the budget trips at the same instruction.
+
+**Codegen safety.**  ``repro serve`` simulates untrusted IR, so generated
+source holds only fixed templates, simulator-computed integer indices and
+the ``repr()`` of values whose type is exactly ``int``.  Everything else
+— float immediates (nan/inf/-0.0), names, labels, fault messages —
+reaches the code through the constants list ``C``.  The code runs under
+``{"__builtins__": {}}`` plus an explicit helper namespace.
 
 Dense state
 -----------
@@ -70,35 +105,32 @@ interned at decode time — the hot loop performs **zero hashing**:
 * **Stack slots** get one *module-wide* index space; each frame's
   ``slots`` list is pre-filled with the ``_UNSET`` sentinel, and a load
   finding the sentinel raises the same "load of never-written" fault,
-  byte-identical, the dict-membership test produced.  The decoded entry
-  keeps the :class:`~repro.ir.temp.StackSlot` object purely for the
-  fault message.
+  byte-identical, the dict-membership test produced.
 * **Poison tracking** (``trap_poison``) is a per-register ``bytearray``
   flag vector instead of a set of ``PhysReg`` objects; guarded operand
   specs carry the register object only for the fault message.
 
 Frames are **pooled per function**: a ``ret`` returns the frame to its
 function's free list and the next call re-arms it with two C-level slice
-copies (temps/slots templates) instead of allocating fresh dicts.  The
-callee-saved snapshot is a flat list filled through a precomputed
-callee-saved index vector — no per-call dict.
+copies (temps/slots templates) instead of allocating fresh dicts.
 
-Both dynamic histograms are integer-keyed in the loop — opcodes by their
-dense ``Op`` index, spill categories by an interned ``(phase, kind)``
-index — and fold back into the observable ``Counter`` objects only at
-the ``op_counts`` / ``spill_counts`` boundary, so no ``enum.__hash__``
-runs per instruction.
-
-Decoded programs are cached per function for the lifetime of the
-``Simulator`` (a module must not be mutated mid-simulation, which the
-pipeline never does); ``decode.compiled`` / ``decode.cached`` count
-compiles and cache hits and publish as ``sim.decode.*`` metrics, and
-``frames.allocated`` / ``frames.reused`` make the frame pool observable
-as ``sim.frames.*``.
+Decoded state is cached for the lifetime of the ``Simulator`` (a module
+must not be mutated mid-simulation, which the pipeline never does).  It
+holds no reference cycles: segments name each other by integer id,
+handlers are plain functions taking the simulator as an argument,
+frames do not point back at their pool, and generated code's namespace
+holds machine state, never the ``Simulator`` — so a finished simulator
+is freed by reference counting alone, without waiting for the cyclic
+garbage collector.  ``decode.compiled``
+/ ``decode.cached`` count function decodes and cache hits,
+``segments_compiled`` counts hot-tier compiles (all published as
+``sim.decode.*``), and ``frames.allocated`` / ``frames.reused`` make the
+frame pool observable as ``sim.frames.*``.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from collections import Counter
 from dataclasses import dataclass
@@ -124,11 +156,75 @@ _FPR_POISON = -2.462743370480293e103
 #: floats).
 _UNSET = object()
 
+#: Entries after which a segment runs as generated code: compile cost
+#: per line (~40 µs) ÷ per-entry saving per line (~0.37 µs) ≈ 104–113 on
+#: CPython 3.11, measured over the allocated analogs (docs/PERFORMANCE.md).
+HOT_THRESHOLD = 100
+
 
 def _wrap64(value: int) -> int:
     """Wrap an unbounded int into signed 64-bit two's complement."""
     value &= _MASK64
     return value - (1 << 64) if value >= (1 << 63) else value
+
+
+# ----------------------------------------------------------------------
+# Helpers shared by the cold handlers and the generated code (which
+# reaches them through its namespace, never through builtins).
+# ----------------------------------------------------------------------
+def _fail(message: str):
+    raise SimulationError(message)
+
+
+def _heap_load(heap: list, address: int, cls: RegClass,
+               fn: str) -> int | float:
+    if not isinstance(address, int):
+        raise SimulationError(f"{fn}: non-integer address {address!r}")
+    if not 0 <= address < len(heap) or heap[address] is None:
+        raise SimulationError(f"{fn}: heap access out of bounds at {address}")
+    value = heap[address]
+    if cls is RegClass.GPR and not isinstance(value, int):
+        raise SimulationError(f"{fn}: integer load of float cell {address}")
+    if cls is RegClass.FPR and not isinstance(value, float):
+        raise SimulationError(f"{fn}: float load of integer cell {address}")
+    return value
+
+
+def _heap_store(heap: list, address: int, value: int | float,
+                fn: str) -> None:
+    if not isinstance(address, int):
+        raise SimulationError(f"{fn}: non-integer address {address!r}")
+    if not 0 <= address < len(heap) or heap[address] is None:
+        raise SimulationError(f"{fn}: heap access out of bounds at {address}")
+    heap[address] = value
+
+
+def _div(x: int, y: int, message: str) -> int:
+    if y == 0:
+        raise SimulationError(message)
+    q = abs(x) // abs(y)
+    value = (q if (x < 0) == (y < 0) else -q) & _MASK64
+    return value - _TWO64 if value >= _HALF64 else value
+
+
+def _rem(x: int, y: int, message: str) -> int:
+    if y == 0:
+        raise SimulationError(message)
+    q = abs(x) // abs(y)
+    return _wrap64(x - _wrap64(y * (q if (x < 0) == (y < 0) else -q)))
+
+
+def _fdiv(x: float, y: float, message: str) -> float:
+    if y == 0.0:
+        raise SimulationError(message)
+    return x / y
+
+
+def _ftoi(value: float, fname: str) -> int:
+    if value != value or value in (float("inf"), float("-inf")):
+        raise SimulationError(f"{fname}: ftoi of non-finite {value!r}")
+    value = int(value) & _MASK64
+    return value - _TWO64 if value >= _HALF64 else value
 
 
 @dataclass
@@ -146,6 +242,8 @@ class SimOutcome:
         decode_compiled: Functions the simulator pre-decoded (0 for the
             reference interpreter).
         decode_cached: Calls served from the decode cache.
+        segments_compiled: Segments promoted to generated code (the hot
+            tier); 0 when no segment reached ``HOT_THRESHOLD`` entries.
         frames_allocated: Frames newly constructed (0 for the reference
             interpreter, which builds one per call instead of pooling).
         frames_reused: Calls served by re-arming a pooled frame.
@@ -159,6 +257,7 @@ class SimOutcome:
     spill_counts: Counter
     decode_compiled: int = 0
     decode_cached: int = 0
+    segments_compiled: int = 0
     frames_allocated: int = 0
     frames_reused: int = 0
 
@@ -186,6 +285,7 @@ class SimOutcome:
         metrics.bump("sim.dynamic.spill_instructions", self.spill_instructions)
         metrics.bump("sim.decode.compiled", self.decode_compiled)
         metrics.bump("sim.decode.cached", self.decode_cached)
+        metrics.bump("sim.decode.segments_compiled", self.segments_compiled)
         metrics.bump("sim.frames.allocated", self.frames_allocated)
         metrics.bump("sim.frames.reused", self.frames_reused)
         for op, count in self.op_counts.items():
@@ -199,30 +299,30 @@ class _Frame:
     """Per-activation state: temporaries, stack slots, saved callee-saves.
 
     All three are flat lists in their dense index spaces (see the module
-    docstring).  Control position (current decoded block + index) lives
-    in the run loop's locals and on the explicit call stack, not here.
-    Frames are pooled per function (``info.pool``) and re-armed from the
-    templates on reuse.
+    docstring).  Control position (the current segment id) and the
+    function's ``_FnInfo`` live in the run loop's locals and on the
+    explicit call stack, not here, so a pooled frame and its pool form no
+    cycle.  Frames are pooled per function (``info.pool``) and re-armed
+    from the templates on reuse.
     """
 
-    __slots__ = ("fn", "info", "temps", "slots", "saved")
+    __slots__ = ("temps", "slots", "saved")
 
     def __init__(self, info: "_FnInfo", n_saved: int):
-        self.fn = info.fn
-        self.info = info
         self.temps: list[int | float] = list(info.temps_tpl)
         self.slots: list = list(info.slots_tpl)
         self.saved: list[int | float] = [0] * n_saved
 
 
 class _FnInfo:
-    """One function's decoded program plus its frame-template state."""
+    """One function's entry segment plus its frame-template state."""
 
     __slots__ = ("fn", "entry", "temps_tpl", "slots_tpl", "pool")
 
     def __init__(self, fn: Function):
         self.fn = fn
-        self.entry: list = []
+        #: Segment id of the entry block's first segment.
+        self.entry = -1
         #: Class defaults per temp index (0 / 0.0) — a frame's initial
         #: ``temps``; a read of a never-written temp sees its default.
         self.temps_tpl: list[int | float] = []
@@ -232,13 +332,13 @@ class _FnInfo:
         self.pool: list[_Frame] = []
 
 
-# Control tags of decoded entries (entry[0]).
+# Control tags of decoded instructions and segment terminators.
 _CTL_STRAIGHT = 0
 _CTL_JMP = 1
 _CTL_BR = 2
 _CTL_CALL = 3
 _CTL_RET = 4
-_CTL_FAULT = 5  # fell-off-block sentinel / unknown branch target
+_CTL_FAULT = 5  # fell-off-block point / unknown branch target
 
 # Operand-spec kinds (spec[0]): how a register operand is accessed.
 _K_TEMP = 0    # (0, temp_index)            frame.temps[i]
@@ -246,13 +346,13 @@ _K_PHYS = 1    # (1, reg_index)             self.regs[i]
 _K_GUARD = 2   # (2, reg_index, physreg)    + poison trap/untrack bookkeeping
 _K_BAD = 3     # (3, message)               faults when executed
 
-#: Dense opcode numbering for the run loop's histogram: counting into a
-#: flat int list is markedly cheaper than a per-instruction Counter[Op]
-#: update; the histogram folds back into the Counter on loop exit.
+#: Dense opcode numbering for the histograms: counting into a flat int
+#: list is markedly cheaper than a Counter[Op] update; the histogram
+#: folds back into the Counter on loop exit.
 _OP_LIST = tuple(Op)
 _OP_INDEX = {op: i for i, op in enumerate(_OP_LIST)}
 
-#: spill index -1 in a decoded entry = not allocator-inserted code.
+#: spill index -1 in a decoded instruction = not allocator-inserted code.
 _NO_SPILL = -1
 
 #: Two-operand integer ALU ops sharing one handler (wrap applied after).
@@ -276,6 +376,31 @@ _CMP_BIN = {
 #: Unwrapped float arithmetic (FDIV is separate: zero-divisor fault).
 _FLT_BIN = {Op.FADD: operator.add, Op.FSUB: operator.sub,
             Op.FMUL: operator.mul}
+
+# ----------------------------------------------------------------------
+# Hot-tier templates.  ``{a}``/``{b}`` are operand read expressions,
+# ``v``/``x`` scratch locals; every template is one source line.
+# ----------------------------------------------------------------------
+#: Python operator of each two-operand opcode in generated code.
+_HOT_SYMBOL = {
+    Op.ADD: "+", Op.SUB: "-", Op.MUL: "*", Op.AND: "&", Op.OR: "|",
+    Op.XOR: "^", Op.SHL: "<<", Op.SHR: ">>",
+    Op.SLT: "<", Op.SLE: "<=", Op.SEQ: "==", Op.SNE: "!=",
+    Op.FSLT: "<", Op.FSLE: "<=", Op.FSEQ: "==", Op.FSNE: "!=",
+    Op.FADD: "+", Op.FSUB: "-", Op.FMUL: "*",
+}
+#: Helper names of the ops generated code calls out for.
+_HOT_CALL = {Op.DIV: "DIV", Op.REM: "REM", Op.FDIV: "FDIV"}
+#: The wrap of scratch ``v`` (already masked to 64 bits) into signed range.
+_HOT_WRAP = f"v - {_TWO64} if v >= {_HALF64} else v"
+
+
+def _fault_line(exc: BaseException, code) -> int:
+    """The source line of ``code``'s frame in ``exc``'s traceback."""
+    tb = exc.__traceback__
+    while tb.tb_frame.f_code is not code:
+        tb = tb.tb_next
+    return tb.tb_lineno
 
 
 class Simulator:
@@ -314,17 +439,32 @@ class Simulator:
         self._op_hist: list[int] = [0] * len(_OP_LIST)
         self.spill_counts: Counter = Counter()
         #: Interned spill categories: ``(phase, kind) -> dense index``;
-        #: the loop counts into ``_spill_hist`` and folds on exit.
+        #: histograms count into ``_spill_hist`` and fold on exit.
         self._spill_ix: dict[tuple, int] = {}
         self._spill_keys: list[tuple] = []
         self._spill_hist: list[int] = []
         #: Module-wide dense stack-slot index space, grown at decode.
         self._slot_ix: dict[StackSlot, int] = {}
-        #: Decoded program + frame templates per function name, filled
+        #: Decoded entry + frame templates per function name, filled
         #: lazily at first call.
         self._decoded: dict[str, _FnInfo] = {}
+        #: Segments, all indexed by segment id: the run loop's record
+        #: ``(n, cycles, body, ctl, terminator args)``; the static
+        #: per-instruction ``(ops, cycles, spills)`` tables; the entry
+        #: counts of the current run; the generated function once hot.
+        self._segs: list[tuple] = []
+        self._seg_static: list[tuple] = []
+        self._seg_hits: list[int] = []
+        self._seg_fns: list = []
+        #: Generated source per compiled segment id.
+        self.hot_sources: dict[int, str] = {}
+        #: The hot tier's constants list and namespace (built at the
+        #: first compile, so runs that never go hot pay nothing).
+        self._hot_consts: list = []
+        self._hot_ns: dict | None = None
         self.decode_compiled = 0
         self.decode_cached = 0
+        self.segments_compiled = 0
         self.frames_allocated = 0
         self.frames_reused = 0
         #: Caller-saved registers with their poison values, both classes —
@@ -350,7 +490,7 @@ class Simulator:
     # Decoding.
     # ------------------------------------------------------------------
     def _fn_info(self, fn: Function) -> _FnInfo:
-        """The decoded program of ``fn`` (compiling on first call)."""
+        """The decoded state of ``fn`` (decoding on first call)."""
         info = self._decoded.get(fn.name)
         if info is not None:
             self.decode_cached += 1
@@ -362,33 +502,73 @@ class Simulator:
         info = _FnInfo(fn)
         self._cur_temp_ix = {}
         self._cur_temps_tpl = info.temps_tpl
-        codes: dict[str, list] = {b.label: [] for b in fn.blocks}
+        # Block-start segment ids first, so branches can name targets.
+        starts = {block.label: self._new_segment() for block in fn.blocks}
         for block in fn.blocks:
-            out = codes[block.label]
-            for instr in block.instrs:
-                out.append(self._decode_instr(fn, instr, codes))
-            # Fell-off guard: a block without a terminator faults exactly
-            # where the reference interpreter does.
-            out.append((_CTL_FAULT, None, 0, 0, _NO_SPILL,
-                        (SimulationError,
-                         f"{fn.name}/{block.label}: fell off block")))
-        info.entry = codes[fn.entry.label]
+            self._decode_block(fn, block, starts)
+        info.entry = starts[fn.entry.label]
         # Every slot this function touches was interned above, so the
         # module-wide count now covers all of its indices.
         info.slots_tpl = [_UNSET] * len(self._slot_ix)
         self._decoded[fn.name] = info
         return info
 
-    @staticmethod
-    def _target(label: str, codes: dict[str, list]) -> list:
-        """The decoded code of branch target ``label``.  An unknown label
-        becomes a sentinel program raising the same ``KeyError`` the
+    def _new_segment(self) -> int:
+        """Reserve a segment id (filled by :meth:`_set_segment`)."""
+        self._segs.append(None)
+        self._seg_static.append(None)
+        self._seg_hits.append(0)
+        self._seg_fns.append(None)
+        return len(self._segs) - 1
+
+    def _set_segment(self, sid: int, decoded: list, ctl: int,
+                     targs) -> None:
+        """Fill segment ``sid`` from its decoded instructions (terminator
+        included unless ``ctl`` is a fault point)."""
+        body = tuple((j, handler, args)
+                     for j, (_c, handler, _cy, _o, _s, args)
+                     in enumerate(decoded) if handler is not None)
+        ops = tuple(d[3] for d in decoded)
+        cycs = tuple(d[2] for d in decoded)
+        self._segs[sid] = (len(decoded), sum(cycs), body, ctl, targs)
+        self._seg_static[sid] = (ops, cycs, tuple(d[4] for d in decoded))
+
+    def _decode_block(self, fn: Function, block,
+                      starts: dict[str, int]) -> None:
+        """Cut ``block`` into segments: one per call it holds, plus one
+        ending at its terminator (or at its fell-off point)."""
+        sid = starts[block.label]
+        decoded: list = []
+        for instr in block.instrs:
+            entry = self._decode_instr(fn, instr, starts)
+            decoded.append(entry)
+            ctl, targs = entry[0], entry[5]
+            if ctl == _CTL_STRAIGHT:
+                continue
+            if ctl == _CTL_CALL:
+                resume = self._new_segment()
+                self._set_segment(sid, decoded, ctl, targs + (resume,))
+                sid, decoded = resume, []
+                continue
+            # jmp/br/ret end the block: what follows is unreachable.
+            self._set_segment(sid, decoded, ctl, targs)
+            return
+        # Fell-off point: a block without a terminator faults exactly
+        # where the reference interpreter does.
+        self._set_segment(sid, decoded, _CTL_FAULT,
+                          (SimulationError,
+                           f"{fn.name}/{block.label}: fell off block"))
+
+    def _target(self, label: str, starts: dict[str, int]) -> int:
+        """The segment id of branch target ``label``.  An unknown label
+        becomes an empty fault segment raising the same ``KeyError`` the
         module-walking interpreter's block lookup would — and only when
         the branch is actually taken to it."""
-        code = codes.get(label)
-        if code is None:
-            return [(_CTL_FAULT, None, 0, 0, _NO_SPILL, (KeyError, label))]
-        return code
+        sid = starts.get(label)
+        if sid is None:
+            sid = self._new_segment()
+            self._set_segment(sid, [], _CTL_FAULT, (KeyError, label))
+        return sid
 
     def _temp_i(self, temp: Temp) -> int:
         """Intern ``temp`` into the current function's index space."""
@@ -439,8 +619,9 @@ class Simulator:
         return (_K_GUARD, ri, reg) if self.trap_poison else (_K_PHYS, ri)
 
     def _decode_instr(self, fn: Function, instr: Instr,
-                      codes: dict[str, list]) -> tuple:
-        """Compile one instruction into its flat decoded entry."""
+                      starts: dict[str, int]) -> tuple:
+        """Decode one instruction into ``(ctl, handler, cycles, op index,
+        spill index, args)``; branch targets become segment ids."""
         op = instr.op
         cyc = cycle_cost(op)
         spill_i = (_NO_SPILL if instr.spill_phase is None
@@ -454,12 +635,13 @@ class Simulator:
             return (ctl, handler, cyc, op_i, spill_i, args)
 
         if op is Op.JMP:
-            return entry(_CTL_JMP, None, self._target(instr.targets[0], codes))
+            return entry(_CTL_JMP, None, self._target(instr.targets[0],
+                                                      starts))
         if op is Op.BR:
             return entry(_CTL_BR, None,
                          (self._read_spec(instr.uses[0]),
-                          self._target(instr.targets[0], codes),
-                          self._target(instr.targets[1], codes)))
+                          self._target(instr.targets[0], starts),
+                          self._target(instr.targets[1], starts)))
         if op is Op.RET:
             spec = self._read_spec(instr.uses[0]) if instr.uses else None
             return entry(_CTL_RET, None, spec)
@@ -478,39 +660,43 @@ class Simulator:
         return entry(_CTL_STRAIGHT, handler, args)
 
     def _decode_straightline(self, fname: str, instr: Instr):
-        """Pick the bound handler + pre-resolved args for one opcode."""
+        """Pick the handler (a plain function of ``(sim, frame, args)``,
+        so decoded state never refers back to the simulator) +
+        pre-resolved args for one opcode."""
         op = instr.op
+        cls = type(self)
         if op is Op.LI or op is Op.FLI:
-            return self._h_imm, (instr.imm, self._write_spec(instr.defs[0]))
+            return cls._h_imm, (instr.imm, self._write_spec(instr.defs[0]))
         if op is Op.MOV or op is Op.FMOV:
-            return self._h_mov, (self._read_spec(instr.uses[0]),
-                                 self._write_spec(instr.defs[0]))
+            return cls._h_mov, (self._read_spec(instr.uses[0]),
+                                self._write_spec(instr.defs[0]))
         if op is Op.PRINT:
-            return self._h_print, (self._read_spec(instr.uses[0]),)
+            return cls._h_print, (self._read_spec(instr.uses[0]),)
         if op is Op.NOP:
-            return self._h_nop, ()
+            return cls._h_nop, ()
         if op is Op.LDS:
-            return self._h_lds, (self._slot_i(instr.slot),
-                                 self._write_spec(instr.defs[0]), fname,
-                                 instr.slot)
+            return cls._h_lds, (self._slot_i(instr.slot),
+                                self._write_spec(instr.defs[0]), fname,
+                                instr.slot)
         if op is Op.STS:
-            return self._h_sts, (self._read_spec(instr.uses[0]),
-                                 self._slot_i(instr.slot))
+            return cls._h_sts, (self._read_spec(instr.uses[0]),
+                                self._slot_i(instr.slot))
         if op is Op.LD or op is Op.FLD:
-            cls = RegClass.GPR if op is Op.LD else RegClass.FPR
-            return self._h_load, (self._read_spec(instr.uses[0]), instr.imm,
-                                  cls, self._write_spec(instr.defs[0]), fname)
+            regclass = RegClass.GPR if op is Op.LD else RegClass.FPR
+            return cls._h_load, (self._read_spec(instr.uses[0]), instr.imm,
+                                 regclass, self._write_spec(instr.defs[0]),
+                                 fname)
         if op is Op.ST or op is Op.FST:
-            return self._h_store, (self._read_spec(instr.uses[0]),
-                                   self._read_spec(instr.uses[1]),
-                                   instr.imm, fname)
+            return cls._h_store, (self._read_spec(instr.uses[0]),
+                                  self._read_spec(instr.uses[1]),
+                                  instr.imm, fname)
         if op is Op.ADDI:
-            return self._h_addi, (self._read_spec(instr.uses[0]), instr.imm,
-                                  self._write_spec(instr.defs[0]))
+            return cls._h_addi, (self._read_spec(instr.uses[0]), instr.imm,
+                                 self._write_spec(instr.defs[0]))
         if op in (Op.NEG, Op.NOT, Op.FNEG, Op.ITOF, Op.FTOI):
-            unary = {Op.NEG: self._h_neg, Op.NOT: self._h_not,
-                     Op.FNEG: self._h_fneg, Op.ITOF: self._h_itof,
-                     Op.FTOI: self._h_ftoi}[op]
+            unary = {Op.NEG: cls._h_neg, Op.NOT: cls._h_not,
+                     Op.FNEG: cls._h_fneg, Op.ITOF: cls._h_itof,
+                     Op.FTOI: cls._h_ftoi}[op]
             return unary, (self._read_spec(instr.uses[0]),
                            self._write_spec(instr.defs[0]), fname)
         binargs = (self._read_spec(instr.uses[0]),
@@ -518,22 +704,139 @@ class Simulator:
                    self._write_spec(instr.defs[0]))
         fnop = _INT_BIN.get(op)
         if fnop is not None:
-            return self._h_ibin, (fnop, *binargs)
+            return cls._h_ibin, (fnop, *binargs)
         fnop = _CMP_BIN.get(op)
         if fnop is not None:
-            return self._h_cmp, (fnop, *binargs)
+            return cls._h_cmp, (fnop, *binargs)
         fnop = _FLT_BIN.get(op)
         if fnop is not None:
-            return self._h_fbin, (fnop, *binargs)
+            return cls._h_fbin, (fnop, *binargs)
         if op is Op.DIV or op is Op.REM:
             which = "division" if op is Op.DIV else "remainder"
-            handler = self._h_div if op is Op.DIV else self._h_rem
+            handler = cls._h_div if op is Op.DIV else cls._h_rem
             return handler, (*binargs, f"{fname}: {which} by zero")
         if op is Op.FDIV:
-            return self._h_fdiv, (*binargs,
-                                  f"{fname}: float division by zero")
+            return cls._h_fdiv, (*binargs,
+                                 f"{fname}: float division by zero")
         raise SimulationError(
             f"{fname}: unimplemented opcode {op}")  # pragma: no cover
+
+    # ------------------------------------------------------------------
+    # The hot tier: one generated line per body instruction.
+    # ------------------------------------------------------------------
+    def _const(self, value) -> str:
+        """``C[k]`` naming ``value`` in the constants list."""
+        self._hot_consts.append(value)
+        return f"C[{len(self._hot_consts) - 1}]"
+
+    def _literal(self, value) -> str:
+        """An immediate as source: ``repr`` only for exact ints."""
+        return repr(value) if type(value) is int else self._const(value)
+
+    def _hot_read(self, spec: tuple) -> str:
+        kind, i = spec[0], spec[1]
+        if kind == _K_TEMP:
+            return f"T[{i:d}]"
+        if kind == _K_PHYS:
+            return f"R[{i:d}]"
+        if kind == _K_GUARD:
+            message = self._const(
+                f"read of caller-saved {spec[2]} still poisoned by a call")
+            return f"(R[{i:d}] if not P[{i:d}] else X({message}))"
+        return f"X({self._const(i)})"  # _K_BAD: i is the message
+
+    def _hot_write(self, spec: tuple, expr: str) -> str:
+        kind, i = spec[0], spec[1]
+        if kind == _K_TEMP:
+            return f"T[{i:d}] = {expr}"
+        if kind == _K_PHYS:
+            return f"R[{i:d}] = {expr}"
+        if kind == _K_GUARD:
+            return f"R[{i:d}] = {expr}; P[{i:d}] = 0"
+        return f"v = {expr}; X({self._const(i)})"  # _K_BAD
+
+    def _hot_line(self, op: Op, a: tuple) -> str:
+        """The generated source line of one body instruction with decoded
+        args ``a`` — the same operand order and checks as its handler."""
+        rd, wr = self._hot_read, self._hot_write
+        if op is Op.LI or op is Op.FLI:
+            return wr(a[1], self._literal(a[0]))
+        if op is Op.MOV or op is Op.FMOV:
+            return wr(a[1], rd(a[0]))
+        if op is Op.PRINT:
+            return f"O({rd(a[0])})"
+        if op is Op.NOP:
+            return "pass"
+        if op is Op.LDS:
+            si, dst, fname, slot = a
+            message = self._const(f"{fname}: load of never-written {slot}")
+            return (f"v = S[{si:d}]; v is U and X({message}); "
+                    + wr(dst, "v"))
+        if op is Op.STS:
+            return f"S[{a[1]:d}] = {rd(a[0])}"
+        if op is Op.LD or op is Op.FLD:
+            base, imm, cls, dst, fname = a
+            kind = "INT" if cls is RegClass.GPR else "FLT"
+            return (f"v = {rd(base)} + {self._literal(imm)}; "
+                    + wr(dst, f"H[v] if TY(v) is INT and "
+                              f"0 <= v < {len(self.heap):d} and "
+                              f"TY(H[v]) is {kind} else "
+                              f"LD(H, v, {self._const(cls)}, "
+                              f"{self._const(fname)})"))
+        if op is Op.ST or op is Op.FST:
+            src, base, imm, fname = a
+            return (f"x = {rd(src)}; v = {rd(base)} + {self._literal(imm)}; "
+                    f"TY(v) is INT and 0 <= v < {len(self.heap):d} and "
+                    f"H[v] is not None or ST(H, v, x, {self._const(fname)}); "
+                    f"H[v] = x")
+        if op is Op.ADDI:
+            return (f"v = ({rd(a[0])} + {self._literal(a[1])}) & {_MASK64}; "
+                    + wr(a[2], _HOT_WRAP))
+        if op is Op.NEG or op is Op.NOT:
+            sign = "-" if op is Op.NEG else "~"
+            return f"v = ({sign}{rd(a[0])}) & {_MASK64}; " + wr(a[1], _HOT_WRAP)
+        if op is Op.FNEG:
+            return wr(a[1], f"-{rd(a[0])}")
+        if op is Op.ITOF:
+            return wr(a[1], f"FLT({rd(a[0])})")
+        if op is Op.FTOI:
+            return wr(a[1], f"FTOI({rd(a[0])}, {self._const(a[2])})")
+        if op in _HOT_CALL:
+            sa, sb, dst, message = a
+            return wr(dst, f"{_HOT_CALL[op]}({rd(sa)}, {rd(sb)}, "
+                           f"{self._const(message)})")
+        _fnop, sa, sb, dst = a
+        x, y, sym = rd(sa), rd(sb), _HOT_SYMBOL[op]
+        if op in _CMP_BIN:
+            return wr(dst, f"1 if {x} {sym} {y} else 0")
+        if op in _FLT_BIN:
+            return wr(dst, f"{x} {sym} {y}")
+        if op is Op.SHL or op is Op.SHR:
+            y = f"({y} % 64)"
+        return f"v = ({x} {sym} {y}) & {_MASK64}; " + wr(dst, _HOT_WRAP)
+
+    def _compile_segment(self, sid: int):
+        """Generate, compile and install segment ``sid``'s hot function.
+        Line ``j + 2`` of the source is body instruction ``j``."""
+        ops = self._seg_static[sid][0]
+        lines = ["def seg(T, S):"]
+        lines += [f" {self._hot_line(_OP_LIST[ops[j]], args)}"
+                  for j, _handler, args in self._segs[sid][2]]
+        source = "\n".join(lines) + "\n"
+        if self._hot_ns is None:
+            # Empty builtins plus the machine state and helpers generated
+            # code may touch — nothing that leads back to the Simulator.
+            self._hot_ns = {
+                "__builtins__": {}, "R": self.regs, "P": self._poisoned,
+                "H": self.heap, "O": self.output.append, "U": _UNSET,
+                "C": self._hot_consts, "X": _fail, "LD": _heap_load,
+                "ST": _heap_store, "DIV": _div, "REM": _rem, "FDIV": _fdiv,
+                "FTOI": _ftoi, "TY": type, "INT": int, "FLT": float}
+        exec(compile(source, "<segment>", "exec"), self._hot_ns)
+        fn = self._seg_fns[sid] = self._hot_ns.pop("seg")
+        self.hot_sources[sid] = source
+        self.segments_compiled += 1
+        return fn
 
     # ------------------------------------------------------------------
     # Operand access: the slow (guarded) paths.  The fast kinds are
@@ -559,31 +862,10 @@ class Simulator:
         raise SimulationError(spec[1])  # _K_BAD
 
     # ------------------------------------------------------------------
-    # Heap.
-    # ------------------------------------------------------------------
-    def _heap_load(self, address: int, cls: RegClass, fn: str) -> int | float:
-        if not isinstance(address, int):
-            raise SimulationError(f"{fn}: non-integer address {address!r}")
-        if not 0 <= address < len(self.heap) or self.heap[address] is None:
-            raise SimulationError(f"{fn}: heap access out of bounds at {address}")
-        value = self.heap[address]
-        if cls is RegClass.GPR and not isinstance(value, int):
-            raise SimulationError(f"{fn}: integer load of float cell {address}")
-        if cls is RegClass.FPR and not isinstance(value, float):
-            raise SimulationError(f"{fn}: float load of integer cell {address}")
-        return value
-
-    def _heap_store(self, address: int, value: int | float, fn: str) -> None:
-        if not isinstance(address, int):
-            raise SimulationError(f"{fn}: non-integer address {address!r}")
-        if not 0 <= address < len(self.heap) or self.heap[address] is None:
-            raise SimulationError(f"{fn}: heap access out of bounds at {address}")
-        self.heap[address] = value
-
-    # ------------------------------------------------------------------
-    # Straight-line handlers.  Every handler receives (frame, args) with
-    # args fully pre-resolved; operand reads/writes inline the two fast
-    # slot kinds (flat-list indexing) and fall back to the guarded paths.
+    # Straight-line handlers (the cold tier), called as plain functions
+    # ``(sim, frame, args)`` with args fully pre-resolved; operand
+    # reads/writes inline the two fast slot kinds (flat-list indexing)
+    # and fall back to the guarded paths.
     # ------------------------------------------------------------------
     def _h_nop(self, frame: _Frame, a) -> None:
         pass
@@ -613,36 +895,17 @@ class Simulator:
             self._write_guard(dst, value)
 
     def _h_print(self, frame: _Frame, a) -> None:
-        src = a[0]
-        if src[0] == 0:
-            value = frame.temps[src[1]]
-        elif src[0] == 1:
-            value = self.regs[src[1]]
-        else:
-            value = self._read_guard(src)
-        self.output.append(value)
+        self.output.append(self._read(frame, a[0]))
 
     def _h_lds(self, frame: _Frame, a) -> None:
         si, dst, fname, slot = a
         value = frame.slots[si]
         if value is _UNSET:
             raise SimulationError(f"{fname}: load of never-written {slot}")
-        if dst[0] == 0:
-            frame.temps[dst[1]] = value
-        elif dst[0] == 1:
-            self.regs[dst[1]] = value
-        else:
-            self._write_guard(dst, value)
+        self._store_result(frame, dst, value)
 
     def _h_sts(self, frame: _Frame, a) -> None:
-        src, si = a
-        if src[0] == 0:
-            value = frame.temps[src[1]]
-        elif src[0] == 1:
-            value = self.regs[src[1]]
-        else:
-            value = self._read_guard(src)
-        frame.slots[si] = value
+        frame.slots[a[1]] = self._read(frame, a[0])
 
     def _h_load(self, frame: _Frame, a) -> None:
         base_spec, imm, cls, dst, fname = a
@@ -652,29 +915,19 @@ class Simulator:
             base = self.regs[base_spec[1]]
         else:
             base = self._read_guard(base_spec)
-        value = self._heap_load(base + imm, cls, fname)
-        if dst[0] == 0:
-            frame.temps[dst[1]] = value
-        elif dst[0] == 1:
-            self.regs[dst[1]] = value
-        else:
-            self._write_guard(dst, value)
+        self._store_result(frame, dst,
+                           _heap_load(self.heap, base + imm, cls, fname))
 
     def _h_store(self, frame: _Frame, a) -> None:
         src, base_spec, imm, fname = a
-        if src[0] == 0:
-            value = frame.temps[src[1]]
-        elif src[0] == 1:
-            value = self.regs[src[1]]
-        else:
-            value = self._read_guard(src)
+        value = self._read(frame, src)
         if base_spec[0] == 0:
             base = frame.temps[base_spec[1]]
         elif base_spec[0] == 1:
             base = self.regs[base_spec[1]]
         else:
             base = self._read_guard(base_spec)
-        self._heap_store(base + imm, value, fname)
+        _heap_store(self.heap, base + imm, value, fname)
 
     def _h_addi(self, frame: _Frame, a) -> None:
         src, imm, dst = a
@@ -694,8 +947,7 @@ class Simulator:
         else:
             self._write_guard(dst, value)
 
-    def _unary(self, frame: _Frame, a):
-        src = a[0]
+    def _read(self, frame: _Frame, src):
         if src[0] == 0:
             return frame.temps[src[1]]
         if src[0] == 1:
@@ -711,31 +963,25 @@ class Simulator:
             self._write_guard(dst, value)
 
     def _h_neg(self, frame: _Frame, a) -> None:
-        value = (-self._unary(frame, a)) & _MASK64
+        value = (-self._read(frame, a[0])) & _MASK64
         if value >= _HALF64:
             value -= _TWO64
         self._store_result(frame, a[1], value)
 
     def _h_not(self, frame: _Frame, a) -> None:
-        value = (~self._unary(frame, a)) & _MASK64
+        value = (~self._read(frame, a[0])) & _MASK64
         if value >= _HALF64:
             value -= _TWO64
         self._store_result(frame, a[1], value)
 
     def _h_fneg(self, frame: _Frame, a) -> None:
-        self._store_result(frame, a[1], -self._unary(frame, a))
+        self._store_result(frame, a[1], -self._read(frame, a[0]))
 
     def _h_itof(self, frame: _Frame, a) -> None:
-        self._store_result(frame, a[1], float(self._unary(frame, a)))
+        self._store_result(frame, a[1], float(self._read(frame, a[0])))
 
     def _h_ftoi(self, frame: _Frame, a) -> None:
-        value = self._unary(frame, a)
-        if value != value or value in (float("inf"), float("-inf")):
-            raise SimulationError(f"{a[2]}: ftoi of non-finite {value!r}")
-        value = int(value) & _MASK64
-        if value >= _HALF64:
-            value -= _TWO64
-        self._store_result(frame, a[1], value)
+        self._store_result(frame, a[1], _ftoi(self._read(frame, a[0]), a[2]))
 
     def _h_ibin(self, frame: _Frame, a) -> None:
         fnop, sa, sb, dst = a
@@ -812,45 +1058,20 @@ class Simulator:
             self._write_guard(dst, value)
 
     def _divmod_operands(self, frame: _Frame, a):
-        _sa, sb = a[0], a[1]
-        # (shared by div/rem: read both operands with the inline kinds)
-        if _sa[0] == 0:
-            x = frame.temps[_sa[1]]
-        elif _sa[0] == 1:
-            x = self.regs[_sa[1]]
-        else:
-            x = self._read_guard(_sa)
-        if sb[0] == 0:
-            y = frame.temps[sb[1]]
-        elif sb[0] == 1:
-            y = self.regs[sb[1]]
-        else:
-            y = self._read_guard(sb)
-        return x, y
+        """Both operands of div/rem/fdiv, read in order."""
+        return self._read(frame, a[0]), self._read(frame, a[1])
 
     def _h_div(self, frame: _Frame, a) -> None:
         x, y = self._divmod_operands(frame, a)
-        if y == 0:
-            raise SimulationError(a[3])
-        q = abs(x) // abs(y)
-        value = (q if (x < 0) == (y < 0) else -q) & _MASK64
-        if value >= _HALF64:
-            value -= _TWO64
-        self._store_result(frame, a[2], value)
+        self._store_result(frame, a[2], _div(x, y, a[3]))
 
     def _h_rem(self, frame: _Frame, a) -> None:
         x, y = self._divmod_operands(frame, a)
-        if y == 0:
-            raise SimulationError(a[3])
-        q = abs(x) // abs(y)
-        value = _wrap64(x - _wrap64(y * (q if (x < 0) == (y < 0) else -q)))
-        self._store_result(frame, a[2], value)
+        self._store_result(frame, a[2], _rem(x, y, a[3]))
 
     def _h_fdiv(self, frame: _Frame, a) -> None:
         x, y = self._divmod_operands(frame, a)
-        if y == 0.0:
-            raise SimulationError(a[3])
-        self._store_result(frame, a[2], x / y)
+        self._store_result(frame, a[2], _fdiv(x, y, a[3]))
 
     # ------------------------------------------------------------------
     # Execution.
@@ -871,6 +1092,7 @@ class Simulator:
             spill_counts=self.spill_counts,
             decode_compiled=self.decode_compiled,
             decode_cached=self.decode_cached,
+            segments_compiled=self.segments_compiled,
             frames_allocated=self.frames_allocated,
             frames_reused=self.frames_reused,
         )
@@ -896,20 +1118,60 @@ class Simulator:
                 saved[k] = regs[ri]
         return frame
 
+    def _uncharge(self, sid: int, j: int) -> tuple[int, int]:
+        """Segment ``sid``, charged in full on entry, faulted at its
+        instruction ``j``: turn the entry into exact partial counts
+        (instructions ``0..j`` charged, as the reference does) and return
+        the ``(steps, cycles)`` to take back."""
+        self._seg_hits[sid] -= 1
+        ops, cycs, spills = self._seg_static[sid]
+        for k in range(j + 1):
+            self._op_hist[ops[k]] += 1
+            if spills[k] >= 0:
+                self._spill_hist[spills[k]] += 1
+        return len(ops) - j - 1, sum(cycs[j + 1:])
+
+    def _fold_histograms(self) -> None:
+        """Fold segment entry counts × static histograms, plus the
+        per-instruction partial counts, into the enum-keyed Counters."""
+        op_hist, spill_hist = self._op_hist, self._spill_hist
+        hits = self._seg_hits
+        for sid, count in enumerate(hits):
+            if count:
+                ops, _cycs, spills = self._seg_static[sid]
+                for op_i in ops:
+                    op_hist[op_i] += count
+                for spill_i in spills:
+                    if spill_i >= 0:
+                        spill_hist[spill_i] += count
+                hits[sid] = 0
+        op_counts = self.op_counts
+        for op_i, count in enumerate(op_hist):
+            if count:
+                op_counts[_OP_LIST[op_i]] += count
+                op_hist[op_i] = 0
+        spill_counts = self.spill_counts
+        spill_keys = self._spill_keys
+        for spill_i, count in enumerate(spill_hist):
+            if count:
+                spill_counts[spill_keys[spill_i]] += count
+                spill_hist[spill_i] = 0
+
     def _run(self, fn: Function) -> int | float | None:
-        """The dispatch loop over decoded entries + the explicit frame
-        stack.  Hot counters live in locals and are written back on every
-        exit path."""
+        """The segment loop + the explicit frame stack.  Hot counters
+        live in locals and are written back on every exit path."""
         info = self._fn_info(fn)
         frame = self._acquire_frame(info)
-        code = info.entry
-        i = 0
-        stack: list = []  # (frame, code, resume_index, call_args)
+        temps, slots = frame.temps, frame.slots
+        sid = info.entry
+        stack: list = []  # (frame, info, call_args)
         steps = self.steps
         cycles = self.cycles
         max_steps = self.max_steps
-        op_hist = self._op_hist
-        spill_hist = self._spill_hist
+        segs = self._segs
+        seg_fns = self._seg_fns
+        hits = self._seg_hits
+        threshold = HOT_THRESHOLD
         regs = self.regs
         check_callee = self.check_callee_saved
         callee_idx = self._callee_idx
@@ -919,36 +1181,54 @@ class Simulator:
 
         try:
             while True:
-                ctl, handler, cyc, op_i, spill_i, args = code[i]
-                if ctl == 5:  # fault sentinel: not a real instruction,
-                    exc_type, payload = args  # so raises without counting
-                    raise exc_type(payload)
-                steps += 1
-                if steps > max_steps:
+                n, cyc, body, ctl, targs = segs[sid]
+                if steps + n > max_steps:
+                    # The budget trips inside this segment: run what is
+                    # left of it stepwise, charging per instruction.
+                    ops, cycs, spills = self._seg_static[sid]
+                    for j in range(max_steps - steps):
+                        steps += 1
+                        cycles += cycs[j]
+                        self._op_hist[ops[j]] += 1
+                        if spills[j] >= 0:
+                            self._spill_hist[spills[j]] += 1
+                        body[j][1](self, frame, body[j][2])
+                    steps += 1
                     raise SimulationError(
-                        f"step budget exceeded in {frame.fn.name}")
+                        f"step budget exceeded in {info.fn.name}")
+                steps += n
                 cycles += cyc
-                op_hist[op_i] += 1
-                if spill_i >= 0:
-                    spill_hist[spill_i] += 1
-                if ctl == 0:  # straight-line
-                    handler(frame, args)
-                    i += 1
-                elif ctl == 2:  # br
-                    spec, then_code, else_code = args
+                entries = hits[sid] + 1
+                hits[sid] = entries
+                hot = seg_fns[sid]
+                if hot is None and entries >= threshold and body:
+                    hot = self._compile_segment(sid)
+                try:
+                    if hot is not None:
+                        hot(temps, slots)
+                    else:
+                        for j, handler, args in body:
+                            handler(self, frame, args)
+                except Exception as exc:
+                    if hot is not None:
+                        j = _fault_line(exc, hot.__code__) - 2
+                    back_steps, back_cycles = self._uncharge(sid, j)
+                    steps -= back_steps
+                    cycles -= back_cycles
+                    raise
+                if ctl == 2:  # br
+                    spec, then_sid, else_sid = targs
                     if spec[0] == 0:
-                        cond = frame.temps[spec[1]]
+                        cond = temps[spec[1]]
                     elif spec[0] == 1:
                         cond = regs[spec[1]]
                     else:
                         cond = self._read_guard(spec)
-                    code = then_code if cond else else_code
-                    i = 0
+                    sid = then_sid if cond else else_sid
                 elif ctl == 1:  # jmp
-                    code = args
-                    i = 0
+                    sid = targs
                 elif ctl == 3:  # call
-                    callee, callee_name, poison, defs, fname = args
+                    callee, callee_name, _poison, _defs, fname, _resume = targs
                     if callee is None:
                         raise SimulationError(
                             f"{fname}: call to unknown "
@@ -956,17 +1236,17 @@ class Simulator:
                     if len(stack) >= self.MAX_CALL_DEPTH:
                         raise SimulationError(
                             f"call depth exceeded entering {callee.name}")
-                    stack.append((frame, code, i + 1, args))
+                    stack.append((frame, info, targs))
                     info = self._fn_info(callee)
                     frame = self._acquire_frame(info)
-                    code = info.entry
-                    i = 0
-                else:  # ret
-                    spec = args
+                    temps, slots = frame.temps, frame.slots
+                    sid = info.entry
+                elif ctl == 4:  # ret
+                    spec = targs
                     if spec is None:
                         value = None
                     elif spec[0] == 0:
-                        value = frame.temps[spec[1]]
+                        value = temps[spec[1]]
                     elif spec[0] == 1:
                         value = regs[spec[1]]
                     else:
@@ -981,14 +1261,15 @@ class Simulator:
                                      and entry_value != entry_value))
                             if not same:
                                 raise SimulationError(
-                                    f"{frame.fn.name}: callee-saved "
+                                    f"{info.fn.name}: callee-saved "
                                     f"{callee_regs[k]} clobbered "
                                     f"({entry_value!r} -> {current!r})")
-                    frame.info.pool.append(frame)
+                    info.pool.append(frame)
                     if not stack:
                         return value
-                    frame, code, i, call_args = stack.pop()
-                    _callee, callee_name, poison, defs, fname = call_args
+                    frame, info, call_args = stack.pop()
+                    temps, slots = frame.temps, frame.slots
+                    _callee, callee_name, poison, defs, fname, sid = call_args
                     for ri, poison_value in poison:
                         regs[ri] = poison_value
                         if trap:
@@ -999,34 +1280,27 @@ class Simulator:
                                 f"{fname}: {callee_name} returned no value "
                                 f"but call expects one")
                         if dst[0] == 0:
-                            frame.temps[dst[1]] = value
+                            temps[dst[1]] = value
                         elif dst[0] == 1:
                             regs[dst[1]] = value
                         else:
                             self._write_guard(dst, value)
+                else:  # fault point: fell off a block / unknown label
+                    exc_type, payload = targs
+                    raise exc_type(payload)
         finally:
             self.steps = steps
             self.cycles = cycles
-            op_counts = self.op_counts
-            for op_i, count in enumerate(op_hist):
-                if count:
-                    op_counts[_OP_LIST[op_i]] += count
-                    op_hist[op_i] = 0
-            spill_counts = self.spill_counts
-            spill_keys = self._spill_keys
-            for spill_i, count in enumerate(spill_hist):
-                if count:
-                    spill_counts[spill_keys[spill_i]] += count
-                    spill_hist[spill_i] = 0
+            self._fold_histograms()
 
 
 def outputs_equal(a: list[int | float] | None, b: list[int | float] | None) -> bool:
     """Observable-output equality: exact values and types, NaN == NaN.
 
     Register allocation never reorders or perturbs arithmetic, so even
-    float outputs must match bit-for-bit; NaN is compared as equal to
-    itself so programs that legitimately compute NaN still have a stable
-    oracle.
+    float outputs must match bit-for-bit: a signed zero differs from its
+    opposite.  NaN is compared as equal to itself so programs that
+    legitimately compute NaN still have a stable oracle.
     """
     if a is None or b is None:
         return a is b
@@ -1035,7 +1309,11 @@ def outputs_equal(a: list[int | float] | None, b: list[int | float] | None) -> b
     for x, y in zip(a, b):
         if type(x) is not type(y):
             return False
-        if x != y and not (x != x and y != y):
+        if x != y:
+            if not (x != x and y != y):
+                return False
+        elif x == 0 and type(x) is float and \
+                math.copysign(1.0, x) != math.copysign(1.0, y):
             return False
     return True
 

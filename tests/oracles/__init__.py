@@ -6,5 +6,8 @@ the shipped fast paths are tested against.
 * :mod:`tests.oracles.coloring_reference` — the per-instruction
   mask-based interference build for :mod:`repro.allocators.coloring.sweep`.
 
+:mod:`tests.oracles.tiers` pins the simulator's tier threshold, so the
+differential tests check its hot and cold tiers alike.
+
 Nothing under ``src/`` imports these; the product never loads them.
 """

@@ -1,13 +1,16 @@
 """The pre-decoded simulator against the retained reference interpreter.
 
-:mod:`repro.sim.machine` compiles each block into a flat tuple program
-and dispatches through bound handlers; :mod:`tests.oracles.sim_reference`
-is the original module-walking interpreter, kept verbatim as the semantic
-oracle.  These tests demand the two agree *exactly* — outputs, results,
-dynamic instruction counts, cycles, per-opcode counts, spill counts, and
-faults (type and message) — over the benchmark analogs, allocated code,
-and a broad fuzz corpus, so any fast-path change that perturbs semantics
-fails here before it can skew a paper table.
+:mod:`repro.sim.machine` cuts each block into segments and runs them
+through decoded handlers (cold tier) or, once hot, as generated code;
+:mod:`tests.oracles.sim_reference` is the original module-walking
+interpreter, kept verbatim as the semantic oracle.  These tests demand
+the two agree *exactly* — outputs, results, dynamic instruction counts,
+cycles, per-opcode counts, spill counts, and faults (type and message) —
+over the benchmark analogs, allocated code, and a broad fuzz corpus, so
+any fast-path change that perturbs semantics fails here before it can
+skew a paper table.  Every comparison runs the simulator three ways: at
+the shipped threshold, with every segment hot from its first entry, and
+with every segment cold.
 """
 
 import pytest
@@ -18,16 +21,29 @@ from repro.ir.builder import FunctionBuilder
 from repro.ir.function import Function
 from repro.ir.instr import Instr, Op
 from repro.ir.module import Module
+from repro.ir.temp import StackSlot
+from repro.ir.types import RegClass
 from repro.obs import MetricsRegistry
 from repro.pm.session import CompilationSession
 from repro.sim import SimulationError, outputs_equal, simulate
+from repro.sim.machine import Simulator
 from repro.target import alpha, tiny
 from repro.workloads.programs import PROGRAM_NAMES, build_program
-from tests.oracles.sim_reference import reference_simulate
+from tests.oracles.sim_reference import ReferenceSimulator, reference_simulate
+from tests.oracles.tiers import TIERS, forced_tier
+
+
+def same_verdict(a, b) -> bool:
+    """Verdict equality: outputs NaN-tolerantly, everything else exactly."""
+    if a[0] == b[0] == "ok":
+        return outputs_equal(a[1], b[1]) and a[2:] == b[2:]
+    return a == b
 
 
 def run_both(module, machine, **kwargs):
-    """Run both interpreters; return comparable (kind, payload) verdicts."""
+    """Run the simulator — at the shipped threshold and in each forced
+    tier, which must all agree — and the reference interpreter; return
+    comparable (kind, payload) verdicts."""
 
     def observe(run):
         try:
@@ -39,17 +55,17 @@ def run_both(module, machine, **kwargs):
         return ("ok", o.output, o.result, o.dynamic_instructions, o.cycles,
                 dict(o.op_counts), dict(o.spill_counts))
 
-    return observe(simulate), observe(reference_simulate)
+    fast = observe(simulate)
+    for tier in TIERS:
+        with forced_tier(tier):
+            forced = observe(simulate)
+        assert same_verdict(forced, fast), (tier, forced, fast)
+    return fast, observe(reference_simulate)
 
 
 def assert_equivalent(module, machine, **kwargs):
     fast, ref = run_both(module, machine, **kwargs)
-    if fast[0] == ref[0] == "ok":
-        # outputs compared NaN-tolerantly, everything else exactly
-        assert outputs_equal(fast[1], ref[1])
-        assert fast[2:] == ref[2:]
-    else:
-        assert fast == ref
+    assert same_verdict(fast, ref), (fast, ref)
 
 
 class TestAnalogEquivalence:
@@ -219,12 +235,28 @@ class TestDecodeCache:
         # call must be served from the cache.
         assert cached > 10 * compiled
 
+    def test_segments_compiled_published(self):
+        """Loops reach the hot tier at the shipped threshold, and the
+        count is published; Table-3-shaped straight-line code, where
+        every instruction runs once, never compiles a segment."""
+        from repro.workloads.synthetic import scaled_module
+
+        machine = alpha()
+        metrics = MetricsRegistry()
+        outcome = simulate(build_program("wc", machine), machine,
+                           metrics=metrics)
+        assert outcome.segments_compiled > 0
+        assert (metrics.get("sim.decode.segments_compiled")
+                == outcome.segments_compiled)
+        assert simulate(scaled_module(245, 1), machine).segments_compiled == 0
+
     def test_reference_interpreter_never_decodes(self):
         machine = alpha()
         module = build_program("compress", machine)
         outcome = reference_simulate(module, machine)
         assert outcome.decode_compiled == 0
         assert outcome.decode_cached == 0
+        assert outcome.segments_compiled == 0
 
 
 class TestHistogramBoundary:
@@ -252,21 +284,192 @@ class TestHistogramBoundary:
 
     def test_histograms_fold_even_on_fault(self):
         """A faulting run must still fold the partial histograms (the
-        fold runs in the loop's ``finally``)."""
+        fold runs in the loop's ``finally``) — in both tiers, and also
+        when the budget trips in the middle of a segment already running
+        as generated code: 5 nops + jmp under a budget of 27 trip at the
+        fourth instruction of the fifth entry."""
+        machine = tiny(4, 4)
+        for nops, max_steps in [(1, 100), (5, 27)]:
+            fn = Function("main")
+            b = FunctionBuilder(fn)
+            b.new_block("loop")
+            for _ in range(nops):
+                b.emit(Instr(Op.NOP))
+            b.emit(Instr(Op.JMP, targets=["loop"]))
+            module = Module()
+            module.add_function(fn)
+            _ref, ref = fault_state(ReferenceSimulator, module, machine,
+                                    max_steps=max_steps)
+            entries, tail = divmod(max_steps, nops + 1)
+            for tier in TIERS:
+                with forced_tier(tier):
+                    sim, fast = fault_state(Simulator, module, machine,
+                                            max_steps=max_steps)
+                assert fast == ref
+                assert sim.steps == max_steps + 1
+                assert sim.op_counts[Op.NOP] == entries * nops + tail
+                assert sim.op_counts[Op.JMP] == entries
+                assert sim.segments_compiled == (tier == "hot")
+
+
+def fault_state(sim_class, module, machine, **kwargs):
+    """Run a simulator class to its fault; return it and what the fault
+    left: exception type and message plus the partial counts."""
+    sim = sim_class(module, machine, **kwargs)
+    with pytest.raises(Exception) as info:
+        sim.run()
+    return sim, (type(info.value).__name__, str(info.value), sim.steps,
+                 sim.cycles, dict(sim.op_counts), dict(sim.spill_counts))
+
+
+def counted_loop(b, fn, trips: int, body, *, label="loop"):
+    """Emit ``entry -> loop (x trips) -> done`` in ``fn``: ``body(b, i)``
+    fills the loop block ahead of the counter decrement and back edge."""
+    i = fn.new_temp(RegClass.GPR)
+    b.emit(Instr(Op.LI, defs=[i], imm=trips))
+    b.emit(Instr(Op.JMP, targets=[label]))
+    b.new_block(label)
+    body(b, i)
+    b.emit(Instr(Op.ADDI, defs=[i], uses=[i], imm=-1))
+    b.emit(Instr(Op.BR, uses=[i], targets=[label, "done"]))
+    b.new_block("done")
+    b.emit(Instr(Op.RET))
+
+
+class TestHotTierFaults:
+    """A fault inside a segment already running as generated code finds
+    the segment charged in full; the generated frame's traceback line
+    names the faulting instruction and the loop un-charges the tail.
+    Message and partial counts must be the reference's, in both tiers."""
+
+    def check(self, tier, module, machine, expected, **kwargs):
+        with forced_tier(tier):
+            sim, fast = fault_state(Simulator, module, machine, **kwargs)
+        _ref, ref = fault_state(ReferenceSimulator, module, machine,
+                                **kwargs)
+        assert fast == ref
+        assert fast[1] == expected
+        if tier == "hot":
+            assert sim.segments_compiled > 0
+        else:
+            assert sim.segments_compiled == 0 and not sim.hot_sources
+        return sim
+
+    @pytest.mark.parametrize("tier", TIERS)
+    def test_division_by_zero_mid_segment(self, tier):
         machine = tiny(4, 4)
         fn = Function("main")
         b = FunctionBuilder(fn)
-        b.new_block("loop")
-        b.emit(Instr(Op.NOP))
-        b.emit(Instr(Op.JMP, targets=["loop"]))
+        b.new_block("entry")
+        x = b.li(100)
+
+        def body(b, i):
+            d = fn.new_temp(RegClass.GPR)
+            b.emit(Instr(Op.ADDI, defs=[d], uses=[i], imm=-2))
+            b.print_(b.div(x, d))   # zero divisor on the fifth trip
+            b.nop()
+
+        counted_loop(b, fn, 6, body)
         module = Module()
         module.add_function(fn)
-        from repro.sim.machine import Simulator
-        sim = Simulator(module, machine, max_steps=100)
-        with pytest.raises(SimulationError):
-            sim.run()
-        assert sim.op_counts[Op.NOP] == 50
-        assert sim.op_counts[Op.JMP] == 50
+        sim = self.check(tier, module, machine, "main: division by zero")
+        if tier == "hot":
+            assert any("DIV(" in src for src in sim.hot_sources.values())
+
+    @pytest.mark.parametrize("tier", TIERS)
+    @pytest.mark.parametrize("op", [Op.LD, Op.ST])
+    def test_heap_out_of_bounds_mid_segment(self, tier, op):
+        machine = tiny(4, 4)
+        module = Module()
+        array = module.add_global("a", RegClass.GPR, 4, init=(1, 2, 3, 4))
+        fn = Function("main")
+        b = FunctionBuilder(fn)
+        b.new_block("entry")
+        p = b.li(array.base)
+
+        def body(b, i):
+            b.nop()
+            if op is Op.LD:
+                b.print_(b.ld(p, 0))
+            else:
+                b.st(i, p, 0)
+            b.emit(Instr(Op.ADDI, defs=[p], uses=[p], imm=1))
+
+        counted_loop(b, fn, 8, body)
+        module.add_function(fn)
+        self.check(tier, module, machine, "main: heap access out of bounds "
+                   f"at {array.base + 4}")
+
+    @pytest.mark.parametrize("tier", TIERS)
+    def test_never_written_slot_mid_segment(self, tier):
+        """The callee's read segment runs hot over written slots, then a
+        call skips the store and its pooled frame's slot is unset."""
+        machine = tiny(4, 4)
+        arg = machine.gprs[0]
+        slot = StackSlot(0, RegClass.GPR)
+        helper = Function("helper")
+        hb = FunctionBuilder(helper)
+        hb.new_block("entry")
+        sel = hb.mov(arg)
+        hb.br(sel, "write", "read")
+        hb.new_block("write")
+        hb.sts(sel, slot)
+        hb.jmp("read")
+        hb.new_block("read")
+        hb.nop()
+        hb.print_(hb.lds(slot, helper.new_temp(RegClass.GPR)))
+        hb.nop()
+        hb.ret()
+        fn = Function("main")
+        b = FunctionBuilder(fn)
+        b.new_block("entry")
+
+        def body(b, i):
+            b.emit(Instr(Op.ADDI, defs=[arg], uses=[i], imm=-1))
+            b.call("helper", arg_regs=[arg])
+
+        counted_loop(b, fn, 6, body)
+        module = Module()
+        module.add_function(fn)
+        module.add_function(helper)
+        self.check(tier, module, machine,
+                   "helper: load of never-written [s0]",
+                   check_callee_saved=False, poison_calls=False)
+
+    @pytest.mark.parametrize("tier", TIERS)
+    def test_poisoned_read_mid_segment(self, tier):
+        """The body segment reads a caller-saved register every trip; on
+        the last trip a call poisons it first and the read traps."""
+        machine = tiny(4, 4)
+        held = machine.caller_saved(RegClass.GPR)[0]
+        helper = Function("helper")
+        hb = FunctionBuilder(helper)
+        hb.new_block("entry")
+        hb.ret()
+        fn = Function("main")
+        b = FunctionBuilder(fn)
+        b.new_block("entry")
+        b.emit(Instr(Op.LI, defs=[held], imm=5))
+
+        def body(b, i):
+            last = fn.new_temp(RegClass.GPR)
+            b.emit(Instr(Op.ADDI, defs=[last], uses=[i], imm=-1))
+            b.br(last, "use", "clobber")
+            b.new_block("clobber")
+            b.call("helper")
+            b.jmp("use")
+            b.new_block("use")
+            b.nop()
+            b.print_(held)
+            b.nop()
+
+        counted_loop(b, fn, 4, body)
+        module = Module()
+        module.add_function(fn)
+        module.add_function(helper)
+        self.check(tier, module, machine,
+                   f"read of caller-saved {held} still poisoned by a call",
+                   trap_poison=True)
 
 
 class TestFramePool:
@@ -287,9 +490,6 @@ class TestFramePool:
     def test_pooled_frames_start_clean(self):
         """A reused frame must not leak the previous activation's slots:
         the second call's never-written load still faults."""
-        from repro.ir.temp import StackSlot
-        from repro.ir.types import RegClass
-
         machine = tiny(4, 4)
         slot = StackSlot(0, RegClass.GPR)
         helper = Function("helper")

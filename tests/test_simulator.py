@@ -278,3 +278,13 @@ class TestOutputsEqual:
         assert not outputs_equal([1], [1, 2])
         assert not outputs_equal([1], [2])
         assert outputs_equal([], [])
+
+    def test_signed_zeros_differ(self):
+        """Bit-for-bit floats: -0.0 and 0.0 are different outputs (a
+        sign-flipping fneg/fsub must not pass a differential test), while
+        NaN still equals NaN."""
+        assert not outputs_equal([-0.0], [0.0])
+        assert not outputs_equal([0.0], [-0.0])
+        assert outputs_equal([-0.0], [-0.0])
+        assert outputs_equal([0.0, 0], [0.0, 0])
+        assert outputs_equal([float("nan"), -0.0], [float("nan"), -0.0])
