@@ -9,9 +9,6 @@ Subcommands:
                           comparison;
 * ``bench NAME``        — the same comparison on a built-in benchmark
                           analog (``python -m repro bench wc``);
-                          ``bench --perf`` instead runs the tracked
-                          wall-clock suite (``tools/perf_bench.py``,
-                          see docs/PERFORMANCE.md);
 * ``trace FILE.mc``     — stream the allocator's decision events
                           (assigns, evictions, reloads, resolution
                           fixes) as they happen, plus a count summary;
@@ -26,8 +23,7 @@ Subcommands:
                           compares two suite runs (docs/REPORTING.md);
 * ``serve``             — run the allocation service (JSONL over a
                           socket + minimal HTTP) with its persistent
-                          cache; ``--soak`` runs the cold/warm load
-                          benchmark instead (docs/SERVING.md).
+                          cache (docs/SERVING.md).
 
 Options shared by all subcommands: ``--machine alpha|tiny`` (default
 alpha), ``--allocator second-chance|two-pass|coloring|poletto`` (default
@@ -176,34 +172,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
 def cmd_bench(args: argparse.Namespace) -> int:
     from repro.workloads.programs import PROGRAM_NAMES, build_program
 
-    if args.perf:
-        # The tracked wall-clock suite (tools/perf_bench.py): hot-kernel
-        # and end-to-end medians, reusable as the CI regression gate.
-        import os
-        sys.path.insert(0, os.path.join(os.path.dirname(__file__),
-                                        "..", "..", "tools"))
-        import perf_bench
-        check: list[str] = []
-        if args.check is not None:
-            baseline = args.check
-            if baseline == "auto":
-                # Newest trajectory point in the repo.
-                from repro.results.report import bench_points
-
-                numbered = bench_points()
-                if not numbered:
-                    raise SystemExit("bench --perf --check: no BENCH_*.json "
-                                     "baseline in the repository")
-                baseline = str(numbered[-1][1])
-            check = ["--check", baseline]
-        return perf_bench.main(
-            (["--quick"] if args.quick else [])
-            + ["--reps", str(args.reps)]
-            + (["--verbose"] if args.verbose else [])
-            + check)
-    if args.name is None:
-        raise SystemExit("bench: an analog name is required "
-                         "(or use --perf for the wall-clock suite)")
     if args.name not in PROGRAM_NAMES:
         raise SystemExit(f"unknown analog {args.name!r}; choose from "
                          f"{', '.join(PROGRAM_NAMES)}")
@@ -352,7 +320,7 @@ def cmd_suite(args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     from repro.results import (MissingCells, ResultStore,
                                check_against_goldens, diff_runs, render_all,
-                               render_perf_trajectory, render_runs)
+                               render_runs)
     from repro.results.suite import FAST_SET
 
     store = ResultStore(args.store)
@@ -384,9 +352,6 @@ def cmd_report(args: argparse.Namespace) -> int:
         for filename, text in rendered.items():
             print(text)
             print()
-    if args.perf:
-        print(render_perf_trajectory(store))
-        print()
     if args.check is not None:
         golden_dir = args.check or "benchmarks/results"
         failures = check_against_goldens(rendered, golden_dir)
@@ -401,48 +366,9 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.serve import AllocationServer, run_soak
-
-    if args.soak:
-        doc = run_soak(args.store, requests=args.requests,
-                       dup_ratio=args.dup_ratio, seed=args.seed,
-                       jobs=args.jobs,
-                       echo=lambda msg: print(msg, file=sys.stderr))
-        cold, warm = doc["before"]["serve"], doc["after"]["serve"]
-        speedup = doc["speedup"]["serve"]
-        print(f"cold: median {1e3 * cold['median_s']:.2f} ms, "
-              f"{100 * cold['hit_rate']:.1f}% hits")
-        print(f"warm: median {1e3 * warm['median_s']:.2f} ms, "
-              f"{100 * warm['hit_rate']:.1f}% hits")
-        print(f"speedup (cold/warm median): {speedup:.2f}x")
-        if args.bench_out:
-            with open(args.bench_out, "w") as fh:
-                json.dump(doc, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            print(f"wrote {args.bench_out}", file=sys.stderr)
-        if args.record:
-            # One kind="perf" record so `repro report --perf` folds the
-            # soak into the trajectory next to the perf-bench points.
-            from repro.results.store import (CellKey, ResultStore,
-                                             content_hash)
-
-            run = dict(doc["after"], serve_cold=cold,
-                       speedup=doc["speedup"])
-            run["mode"] = "serve-soak"
-            store = ResultStore(args.store)
-            key = CellKey(workload="serve:soak", allocator="suite",
-                          machine="host", kind="perf", reps=args.requests)
-            run_id = store.begin_run(label="serve-soak")
-            store.put(key, content_hash("serve-soak", str(args.requests),
-                                        str(args.dup_ratio), str(args.seed)),
-                      run)
-            store.finish_run({"computed": 1, "label": "serve-soak"})
-            print(f"recorded soak run {run_id} in store {store.root}",
-                  file=sys.stderr)
-        return 0
     import threading
+
+    from repro.serve import AllocationServer
 
     server = AllocationServer(args.store, host=args.host, port=args.port,
                               jobs=args.jobs)
@@ -519,23 +445,8 @@ def build_parser() -> argparse.ArgumentParser:
     compare_p.set_defaults(func=cmd_compare)
 
     bench_p = sub.add_parser("bench",
-                             help="compare allocators on a built-in analog "
-                                  "(or --perf for the wall-clock suite)")
-    bench_p.add_argument("name", nargs="?", default=None)
-    bench_p.add_argument("--perf", action="store_true",
-                         help="run the tracked perf-bench suite "
-                              "(tools/perf_bench.py) instead of one analog")
-    bench_p.add_argument("--quick", action="store_true",
-                         help="with --perf: the smaller CI-smoke subset")
-    bench_p.add_argument("--reps", type=int, default=3, metavar="N",
-                         help="with --perf: reps per benchmark (default: 3)")
-    bench_p.add_argument("--verbose", action="store_true",
-                         help="with --perf: progress on stderr")
-    bench_p.add_argument("--check", nargs="?", const="auto", default=None,
-                         metavar="BENCH.json|STORE_DIR",
-                         help="with --perf: ratio-gate the run against a "
-                              "recorded baseline (default: the newest "
-                              "BENCH_*.json)")
+                             help="compare allocators on a built-in analog")
+    bench_p.add_argument("name")
     common(bench_p, with_allocator=False)
     jobs_option(bench_p)
     bench_p.set_defaults(func=cmd_bench)
@@ -617,15 +528,11 @@ def build_parser() -> argparse.ArgumentParser:
                                "(see `report --runs` for ids)")
     report_p.add_argument("--runs", action="store_true",
                           help="list the store's suite runs")
-    report_p.add_argument("--perf", action="store_true",
-                          help="append the perf trajectory "
-                               "(BENCH_*.json + stored perf records)")
     store_option(report_p)
     report_p.set_defaults(func=cmd_report)
 
     serve_p = sub.add_parser(
-        "serve", help="run the allocation service (or --soak: the "
-                      "cold/warm cache benchmark)")
+        "serve", help="run the allocation service")
     serve_p.add_argument("--host", default="127.0.0.1",
                          help="bind address (default: 127.0.0.1)")
     serve_p.add_argument("--port", type=int, default=0, metavar="N",
@@ -634,24 +541,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_p.add_argument("--jobs", type=int, default=1, metavar="N",
                          help="worker processes for cache misses "
                               "(default: 1; 0 = in-process threads)")
-    serve_p.add_argument("--soak", action="store_true",
-                         help="run the soak benchmark: a cold pass and a "
-                              "warm pass of generated load through a "
-                              "fresh in-process server")
-    serve_p.add_argument("--requests", type=int, default=200, metavar="N",
-                         help="with --soak: requests per pass "
-                              "(default: 200)")
-    serve_p.add_argument("--dup-ratio", type=float, default=0.5, metavar="R",
-                         help="with --soak: fraction of duplicate requests "
-                              "in the stream (default: 0.5)")
-    serve_p.add_argument("--seed", type=int, default=0, metavar="N",
-                         help="with --soak: corpus seed (default: 0)")
-    serve_p.add_argument("--bench-out", metavar="FILE", default=None,
-                         help="with --soak: write the BENCH-style "
-                              "document to FILE")
-    serve_p.add_argument("--record", action="store_true",
-                         help="with --soak: also record the run in the "
-                              "result store for `report --perf`")
     store_option(serve_p)
     serve_p.set_defaults(func=cmd_serve)
     return parser

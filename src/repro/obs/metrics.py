@@ -12,9 +12,6 @@ run a phase, and diff to see exactly which counters that phase moved.
 
 from __future__ import annotations
 
-import time
-from contextlib import contextmanager
-
 from repro.stats.report import format_table
 
 Number = int | float
@@ -32,20 +29,6 @@ class MetricsRegistry:
     def bump(self, name: str, value: Number = 1) -> None:
         """Add ``value`` to counter ``name`` (creating it at 0)."""
         self._values[name] = self._values.get(name, 0) + value
-
-    @contextmanager
-    def timed(self, name: str):
-        """Accumulate the wall-clock seconds of the ``with`` body into
-        counter ``name`` (and bump ``name + ".calls"``).  The lightweight
-        sibling of :class:`~repro.obs.profile.PhaseProfiler` for code
-        that wants latency *totals* in the same registry as its other
-        counters — the serving layer's per-request phases use this."""
-        t0 = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.bump(name, time.perf_counter() - t0)
-            self.bump(name + ".calls")
 
     def set(self, name: str, value: Number) -> None:
         """Overwrite gauge ``name`` with ``value``."""

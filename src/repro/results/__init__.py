@@ -7,18 +7,15 @@ The evaluation's observability backbone (see ``docs/REPORTING.md``):
   machine, validated by code hash);
 * :mod:`repro.results.suite` — declarative workloads × configurations
   matrices executed cache-miss-only through the ``pm.batch`` pool;
-* :mod:`repro.results.report` — every paper table/figure, perf
-  trajectories, golden checks, and run-to-run diffs, rendered from the
-  one store.
+* :mod:`repro.results.report` — every paper table/figure, golden
+  checks, and run-to-run diffs, rendered from the one store.
 
 ``python -m repro suite`` populates a store; ``python -m repro report``
 renders from it.
 """
 
 from repro.results.report import (MissingCells, check_against_goldens,
-                                  diff_runs, render_all,
-                                  render_perf_trajectory, render_runs,
-                                  render_serve_soaks)
+                                  diff_runs, render_all, render_runs)
 from repro.results.store import (CellKey, Record, ResultStore, content_hash,
                                  store_path)
 from repro.results.suite import (SUITES, SuiteError, SuiteOutcome,
@@ -36,9 +33,7 @@ __all__ = [
     "content_hash",
     "diff_runs",
     "render_all",
-    "render_perf_trajectory",
     "render_runs",
-    "render_serve_soaks",
     "run_suite",
     "standard_suite",
     "store_path",

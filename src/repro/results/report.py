@@ -3,9 +3,7 @@
 One store, one renderer per artifact: Table 1 (quality), Table 2 (spill
 percentage), Table 3 (allocation time vs problem size), Figure 3 (spill
 composition), the design-choice ablations, the block-order study, and
-Section 3.1's two-pass comparison — plus the perf trajectory (folding
-the repo's ``BENCH_*.json`` documents and any perf records in the store)
-and a run-to-run regression diff.
+Section 3.1's two-pass comparison — plus a run-to-run regression diff.
 
 Every renderer is a pure function of store records, so ``repro report``
 output is byte-identical across invocations over the same store — the
@@ -16,7 +14,6 @@ CLI can never drift apart.
 
 from __future__ import annotations
 
-import json
 import re
 from pathlib import Path
 
@@ -383,178 +380,6 @@ def check_against_goldens(rendered: dict[str, str], golden_dir: Path,
 
 
 # ----------------------------------------------------------------------
-# Perf trajectories: BENCH_*.json documents plus stored perf records.
-# ----------------------------------------------------------------------
-def bench_points(repo_root: str | Path = ".") -> list[tuple[int, Path]]:
-    """The trajectory files ``BENCH_<n>.json`` under ``repo_root`` as
-    ``(n, path)`` pairs in numeric order.  Other ``BENCH_*.json`` names
-    (e.g. a ``repro serve --soak --bench-out BENCH_soak.json``) are not
-    trajectory points and are left out."""
-    pairs = []
-    for path in Path(repo_root).glob("BENCH_*.json"):
-        match = re.fullmatch(r"BENCH_(\d+)", path.stem)
-        if match:
-            pairs.append((int(match.group(1)), path))
-    return sorted(pairs)
-
-
-def _bench_documents(repo_root: Path) -> list[tuple[str, dict]]:
-    points = []
-    for _, path in bench_points(repo_root):
-        try:
-            with open(path) as fh:
-                points.append((path.name, json.load(fh)))
-        except (OSError, json.JSONDecodeError):
-            continue
-    return points
-
-
-#: The per-cell tables under the group table: (cell prefix, title).
-_CELL_TRAJECTORIES = (
-    ("sim", "Simulator trajectory (per-cell medians)"),
-    ("interference", "Interference-build trajectory (per-cell medians)"),
-)
-
-
-def render_perf_trajectory(store: ResultStore | None = None,
-                           repo_root: str | Path = ".") -> str:
-    """The perf-bench trajectory: every ``BENCH_*.json`` point (before /
-    after / speedup per kernel group) followed by any perf records the
-    store accumulated through ``tools/perf_bench.py --store``."""
-    groups: list[str] = []
-    rows: list[list] = []
-
-    def add_point(label: str, doc: dict) -> None:
-        for phase in ("before", "after"):
-            run = doc.get(phase)
-            if not run:
-                continue
-            for group in run.get("groups", {}):
-                if group not in groups:
-                    groups.append(group)
-            rows.append([label, phase, run.get("mode", "?")]
-                        + [run["groups"].get(g) for g in groups])
-        speedup = doc.get("speedup")
-        if speedup:
-            rows.append([label, "speedup", ""]
-                        + [f"{speedup[g]:.2f}x" if g in speedup else ""
-                           for g in groups])
-
-    for name, doc in _bench_documents(Path(repo_root)):
-        add_point(name, doc)
-    if store is not None:
-        for record in store.iter_latest():
-            if record.key.kind != "perf":
-                continue
-            for past in store.history(record.key):
-                add_point(f"store:{past.run}",
-                          {"after": past.data})
-    if not rows:
-        return "perf trajectory: no BENCH_*.json documents or perf records"
-    # Pad early rows that predate later-discovered groups.
-    width = 3 + len(groups)
-    for row in rows:
-        row.extend([""] * (width - len(row)))
-    headers = ["trajectory", "phase", "mode"] + [f"{g} (s)" for g in groups]
-    out = format_table(headers, [
-        [cell if cell is not None else "" for cell in row] for row in rows],
-        title="Perf trajectory (group medians per recorded point)")
-    for prefix, title in _CELL_TRAJECTORIES:
-        detail = _render_cell_trajectory(prefix, title, repo_root=repo_root)
-        if detail:
-            out += "\n\n" + detail
-    soaks = render_serve_soaks(store, repo_root=repo_root)
-    if soaks:
-        out += "\n\n" + soaks
-    return out
-
-
-def _render_cell_trajectory(prefix: str, title: str,
-                            repo_root: str | Path = ".") -> str:
-    """Per-benchmark trajectory of the cells named ``{prefix}.*``.
-
-    The group table above sums these cells; this one follows each cell
-    individually across every ``BENCH_*.json`` point, with a per-cell
-    speedup row wherever a point recorded both phases.  Points without
-    any matching cell (e.g. a serve-soak point) are skipped.
-    """
-    dotted = prefix + "."
-    names: list[str] = []
-    rows: list[list[str]] = []
-    for label, doc in _bench_documents(Path(repo_root)):
-        phases = {p: doc[p] for p in ("before", "after") if doc.get(p)}
-        if not any(name.startswith(dotted)
-                   for run in phases.values()
-                   for name in run.get("benchmarks", {})):
-            continue
-        for run in phases.values():
-            for name in run.get("benchmarks", {}):
-                if name.startswith(dotted) and name not in names:
-                    names.append(name)
-
-        def cell_ms(run: dict, name: str) -> float | None:
-            cell = run.get("benchmarks", {}).get(name)
-            return None if cell is None else cell["median_s"] * 1e3
-
-        for phase, run in phases.items():
-            rows.append([label, phase]
-                        + [f"{ms:.1f}" if (ms := cell_ms(run, n)) is not None
-                           else "" for n in names])
-        if len(phases) == 2:
-            speedups = []
-            for n in names:
-                old, new = (cell_ms(phases["before"], n),
-                            cell_ms(phases["after"], n))
-                speedups.append(f"{old / new:.2f}x" if old and new else "")
-            rows.append([label, "speedup"] + speedups)
-    if not names:
-        return ""
-    width = 2 + len(names)
-    for row in rows:
-        row.extend([""] * (width - len(row)))
-    headers = ["trajectory", "phase"] + [f"{n} (ms)" for n in names]
-    return format_table(headers, rows, title=title)
-
-
-def render_serve_soaks(store: ResultStore | None = None,
-                       repo_root: str | Path = ".") -> str:
-    """The allocation service's soak points: cache hit/miss counters and
-    latency percentiles per load pass, from every ``BENCH_*.json`` the
-    soak driver wrote plus any ``kind="perf"`` store records carrying a
-    ``serve`` payload (``repro serve --soak --record``)."""
-    rows: list[list[str]] = []
-
-    def add(label: str, pass_: dict) -> None:
-        rows.append([
-            label, pass_.get("label", "?"), pass_.get("requests", 0),
-            pass_.get("hits", 0), pass_.get("misses", 0),
-            pass_.get("errors", 0),
-            f"{100 * pass_.get('hit_rate', 0.0):.1f}%",
-            f"{1e3 * pass_.get('median_s', 0.0):.2f}",
-            f"{1e3 * pass_.get('p90_s', 0.0):.2f}",
-            f"{pass_.get('throughput_rps', 0.0):.1f}"])
-
-    for name, doc in _bench_documents(Path(repo_root)):
-        for phase in ("before", "after"):
-            run = doc.get(phase) or {}
-            if isinstance(run.get("serve"), dict):
-                add(name, run["serve"])
-    if store is not None:
-        for record in store.iter_latest():
-            if record.key.kind != "perf":
-                continue
-            for past in store.history(record.key):
-                if isinstance(past.data.get("serve"), dict):
-                    add(f"store:{past.run}", past.data["serve"])
-    if not rows:
-        return ""
-    return format_table(
-        ["trajectory", "pass", "requests", "hits", "misses", "errors",
-         "hit rate", "median (ms)", "p90 (ms)", "req/s"],
-        rows, title="Serve soak trajectory (cache effectiveness per pass)")
-
-
-# ----------------------------------------------------------------------
 # Run-to-run regression diff.
 # ----------------------------------------------------------------------
 #: Record fields compared by ``--diff``, per cell kind.
@@ -562,7 +387,6 @@ _DIFF_FIELDS = {
     "quality": ["dynamic_instructions", "cycles", "total_spill",
                 "allocated_sha"],
     "timing": ["candidates", "edges", "rounds", "core_seconds"],
-    "perf": [],
 }
 
 
@@ -634,10 +458,9 @@ def render_runs(store: ResultStore) -> str:
 
 
 __all__ = ["FIGURE3_KEYS", "MissingCells", "REPORT_FILES", "TIMING_FILES",
-           "ablation_rows", "bench_points", "block_order_rows",
-           "check_against_goldens", "diff_runs", "figure3_rows",
-           "render_ablations", "render_all", "render_block_order",
-           "render_figure3", "render_perf_trajectory", "render_remat",
-           "render_runs", "render_section31", "render_serve_soaks",
-           "render_table1", "render_table2", "render_table3", "remat_rows",
-           "section31_rows", "table1_rows", "table2_rows", "table3_rows"]
+           "ablation_rows", "block_order_rows", "check_against_goldens",
+           "diff_runs", "figure3_rows", "render_ablations", "render_all",
+           "render_block_order", "render_figure3", "render_remat",
+           "render_runs", "render_section31", "render_table1",
+           "render_table2", "render_table3", "remat_rows", "section31_rows",
+           "table1_rows", "table2_rows", "table3_rows"]

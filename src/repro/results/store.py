@@ -10,7 +10,7 @@ record:
   workload (``analog:doduc``, ``synthetic:6218``, ``fuzz:7``), block
   order, machine, allocator, :class:`BinpackOptions` deviations from the
   defaults, pipeline flags, and the record kind (``quality`` /
-  ``timing`` / ``perf``).  The key is pure data and its :meth:`ident`
+  ``timing`` / ``serve``).  The key is pure data and its :meth:`ident`
   string is stable across processes and ``PYTHONHASHSEED`` values.
 * **code hash** — a SHA-256 over the workload's printed IR and the
   machine signature.  A record only *hits* when its stored code hash
@@ -197,7 +197,7 @@ class CellKey:
     options: tuple[tuple[str, Any], ...] = ()
     spill_cleanup: bool = False
     order: str = "layout"      # block order: layout | rpo | scrambled
-    kind: str = "quality"      # quality | timing | perf
+    kind: str = "quality"      # quality | timing | serve
     reps: int = 0              # timing cells: repetitions the medians cover
     #: The allocation context as its canonical compact string
     #: (``AllocationContext.describe()`` — e.g. ``"remat"`` or

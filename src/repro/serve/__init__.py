@@ -20,15 +20,16 @@ Layers:
 * :mod:`repro.serve.server` — the ``asyncio`` server (JSONL over a
   socket, plus a minimal HTTP facade);
 * :mod:`repro.serve.client` — a small blocking client;
-* :mod:`repro.serve.load` — the load generator and the ``--soak``
-  driver that lands throughput/latency in the perf trajectory.
+* :mod:`repro.serve.load` — the load generator behind
+  ``tools/loadgen.py``.  The service's benchmark is perfbench's
+  ``serve`` workload.
 
 See ``docs/SERVING.md`` for the protocol and operational story.
 """
 
 from repro.serve.cache import AllocationCache, artifact_cache_key
 from repro.serve.client import ServeClient, ServeError, wait_ready
-from repro.serve.load import LoadReport, build_corpus, run_load, run_soak
+from repro.serve.load import LoadReport, build_corpus, run_load
 from repro.serve.protocol import (MAX_MODULE_BYTES, PROTOCOL_VERSION,
                                   ProtocolError, decode_request, encode,
                                   error_response)
@@ -38,4 +39,4 @@ __all__ = ["AllocationCache", "AllocationServer", "LoadReport",
            "MAX_MODULE_BYTES", "PROTOCOL_VERSION", "ProtocolError",
            "ServeClient", "ServeError", "artifact_cache_key",
            "build_corpus", "decode_request", "encode", "error_response",
-           "run_load", "run_soak", "wait_ready"]
+           "run_load", "wait_ready"]

@@ -1,8 +1,8 @@
 """A small blocking client for the allocation service.
 
 This is the reference implementation of the wire protocol from the
-consuming side — used by the load generator, the soak driver, the CLI's
-``repro serve --request`` path, and the tests.  It is deliberately
+consuming side — used by the load generator, perfbench's ``serve``
+workload, and the tests.  It is deliberately
 synchronous (plain ``socket`` + ``makefile``): one client is one
 connection is one request pipeline, and anything fancier belongs in the
 caller.

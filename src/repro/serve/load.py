@@ -1,4 +1,4 @@
-"""Load generation and the soak driver for the allocation service.
+"""Load generation for the allocation service.
 
 The corpus reuses the fuzz generator (:func:`repro.fuzz.generate.
 program_for_seed`) so every request is a real, runnable module over the
@@ -6,22 +6,18 @@ rotating machine set — and a configurable *duplicate ratio* controls
 how much of the stream should hit the cache, which is the service's
 whole reason to exist.
 
-:func:`run_soak` is the benchmark: a cold pass (empty cache) and a warm
-pass (same corpus again) through one in-process server, reported in the
-same ``BENCH`` document shape as ``tools/perf_bench.py`` so the
-cold→warm speedup lands straight in ``repro report --perf``'s
-trajectory.  The committed artifact is ``BENCH_9.json``.
+:func:`run_load` drives a corpus through a live server; ``tools/loadgen.py``
+is its command line.  The service's benchmark is perfbench's ``serve``
+workload (``perfbench/run.py --workload serve``).
 """
 
 from __future__ import annotations
 
-import json
 import random
-import statistics
-import threading
 import time
 
 from repro.serve.client import ServeClient, ServeError
+from repro.serve.server import quantile
 
 
 def build_corpus(requests: int, *, dup_ratio: float = 0.5,
@@ -88,14 +84,11 @@ class LoadReport:
         return self.hits / answered if answered else 0.0
 
     def _quantile(self, q: float) -> float:
-        if not self.latencies:
-            return 0.0
-        ordered = sorted(self.latencies)
-        return ordered[min(len(ordered) - 1, int(q * len(ordered)))]
+        return quantile(sorted(self.latencies), q) if self.latencies else 0.0
 
     @property
     def median_s(self) -> float:
-        return statistics.median(self.latencies) if self.latencies else 0.0
+        return self._quantile(0.50)
 
     @property
     def p90_s(self) -> float:
@@ -155,58 +148,4 @@ def run_load(host: str, port: int, corpus: list[dict], *,
     return report
 
 
-def run_soak(store_dir: str, *, requests: int = 200, dup_ratio: float = 0.5,
-             seed: int = 0, jobs: int = 1,
-             echo=None) -> dict:
-    """Cold pass + warm pass through a fresh in-process server.
-
-    Returns a BENCH-style document (``before`` = cold, ``after`` = warm,
-    ``speedup.serve`` = cold/warm median latency) that
-    ``repro report --perf`` folds into the perf trajectory; the serve
-    counters ride along under each phase's ``serve`` key.
-    """
-    from repro.serve.server import AllocationServer
-
-    def say(message: str) -> None:
-        if echo is not None:
-            echo(message)
-
-    corpus = build_corpus(requests, dup_ratio=dup_ratio, seed=seed)
-    server = AllocationServer(store_dir, jobs=jobs)
-    thread = threading.Thread(target=server.run, name="serve-soak",
-                              daemon=True)
-    thread.start()
-    server.wait_ready()
-    say(f"soak: server on 127.0.0.1:{server.port}, "
-        f"{requests} requests ({int(100 * dup_ratio)}% duplicates), "
-        f"jobs={jobs}")
-    try:
-        cold = run_load("127.0.0.1", server.port, corpus, label="cold")
-        say(cold.render())
-        warm = run_load("127.0.0.1", server.port, corpus, label="warm")
-        say(warm.render())
-        with ServeClient("127.0.0.1", server.port) as client:
-            stats = client.stats()
-    finally:
-        server.request_shutdown()
-        thread.join(timeout=30)
-
-    def phase(report: LoadReport) -> dict:
-        return {"mode": report.label, "reps": 1,
-                "benchmarks": {"serve.request": {
-                    "median_s": round(report.median_s, 6),
-                    "reps": report.requests}},
-                "groups": {"serve": round(report.median_s, 6)},
-                "serve": report.to_json()}
-
-    warm_median = warm.median_s or 1e-9
-    return {"schema": 1, "tool": "repro serve --soak",
-            "requests": requests, "dup_ratio": dup_ratio, "seed": seed,
-            "jobs": jobs,
-            "before": phase(cold), "after": phase(warm),
-            "speedup": {"serve": round(cold.median_s / warm_median, 2)},
-            "server": {"cache_cells": stats.get("cache_cells"),
-                       "metrics": stats.get("metrics", {})}}
-
-
-__all__ = ["LoadReport", "build_corpus", "run_load", "run_soak"]
+__all__ = ["LoadReport", "build_corpus", "run_load"]

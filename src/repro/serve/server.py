@@ -26,8 +26,8 @@ Failure containment, in order of blast radius:
   (the worker returns failures as data, never poisons the pool).
 
 Per-request latency phases land in the server's metrics registry
-(``serve.latency.total_s`` / ``.compute_s`` / ``.commit_s`` via
-:meth:`~repro.obs.metrics.MetricsRegistry.timed`), and the cache meters
+(``serve.latency.total_s`` / ``.compute_s`` / ``.commit_s``, the last
+two with a ``.calls`` count), and the cache meters
 ``serve.cache.*`` — ``repro serve`` prints the registry on shutdown,
 and the ``stats`` op streams it live.
 """
@@ -50,18 +50,22 @@ from repro.serve.protocol import (MAX_LINE_BYTES, PROTOCOL_VERSION,
 MAX_LATENCY_SAMPLES = 100_000
 
 
+def quantile(ordered: list[float], q: float) -> float:
+    """The ``q`` quantile of sorted, non-empty ``ordered``: the sample at
+    rank ``int(q * n)``, so the median of an even count is the upper of
+    the two middle samples.  The ``stats`` op and
+    :class:`~repro.serve.load.LoadReport` both use this rule."""
+    return ordered[min(len(ordered) - 1, int(q * len(ordered)))]
+
+
 def _percentiles(samples: list[float]) -> dict:
     if not samples:
         return {}
     ordered = sorted(samples)
-
-    def pick(q: float) -> float:
-        return ordered[min(len(ordered) - 1, int(q * len(ordered)))]
-
     return {"count": len(ordered),
-            "median_s": round(pick(0.50), 6),
-            "p90_s": round(pick(0.90), 6),
-            "p99_s": round(pick(0.99), 6),
+            "median_s": round(quantile(ordered, 0.50), 6),
+            "p90_s": round(quantile(ordered, 0.90), 6),
+            "p99_s": round(quantile(ordered, 0.99), 6),
             "max_s": round(ordered[-1], 6)}
 
 
@@ -70,7 +74,7 @@ class AllocationServer:
 
     Run it blocking (:meth:`run`, the CLI path) or on a background
     thread (construct, ``Thread(target=server.run)``, then
-    :meth:`wait_ready` — the soak driver and the tests do this).
+    :meth:`wait_ready` — perfbench and the tests do this).
     """
 
     def __init__(self, store: str | None = None, *,
@@ -104,8 +108,8 @@ class AllocationServer:
             raise TimeoutError("allocation server did not become ready")
 
     def request_shutdown(self) -> None:
-        """Thread-safe graceful stop (the in-process soak driver's
-        alternative to sending a ``shutdown`` op)."""
+        """Thread-safe graceful stop (an in-process caller's alternative
+        to sending a ``shutdown`` op)."""
         loop, event = self._loop, self._shutdown
         if loop is not None and event is not None:
             loop.call_soon_threadsafe(event.set)
@@ -260,18 +264,20 @@ class AllocationServer:
             payload = {field: request[field]
                        for field in ("ir", "minic", "machine", "allocator",
                                      "context", "spill_cleanup")}
-            with self.metrics.timed("serve.latency.compute_s"):
-                artifact = await self._loop.run_in_executor(
-                    self._executor, allocation_artifact, payload)
+            t0 = time.perf_counter()
+            artifact = await self._loop.run_in_executor(
+                self._executor, allocation_artifact, payload)
+            self._time("serve.latency.compute_s", t0)
             if "error" not in artifact:
                 # Commit before resolving waiters: once anyone has seen
                 # the artifact, it is durable.  The asyncio lock keeps
                 # store commits single-file inside this process; the
                 # store's flock covers other processes.
                 async with self._commit_lock:
-                    with self.metrics.timed("serve.latency.commit_s"):
-                        await self._loop.run_in_executor(
-                            None, self.cache.put, key, sha, artifact)
+                    t0 = time.perf_counter()
+                    await self._loop.run_in_executor(
+                        None, self.cache.put, key, sha, artifact)
+                    self._time("serve.latency.commit_s", t0)
             future.set_result(artifact)
             return artifact
         except BaseException as exc:
@@ -283,6 +289,11 @@ class AllocationServer:
             raise
         finally:
             self._inflight.pop(sha, None)
+
+    def _time(self, name: str, t0: float) -> None:
+        """Add the seconds since ``t0`` to ``name`` and count the call."""
+        self.metrics.bump(name, time.perf_counter() - t0)
+        self.metrics.bump(name + ".calls")
 
     # ------------------------------------------------------------------
     # Stats.

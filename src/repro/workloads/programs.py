@@ -607,20 +607,6 @@ PROGRAM_SOURCES: dict[str, str] = {
 PROGRAM_NAMES: list[str] = list(PROGRAM_SOURCES)
 
 
-def fpppp_scaled_source(n_chains: int = 20, chain_len: int = 3,
-                        repeats: int = 4) -> str:
-    """A scaled-down fpppp analog (same shape, fewer/shorter chains).
-
-    The full analog deliberately stresses the allocators for seconds;
-    this variant keeps the huge-straight-line-block character (still
-    above the FP register file, so it still spills) at a fraction of the
-    size — the ``interference.quick`` perf-smoke cell compiles it so CI
-    can gate the interference build without paying for full fpppp.
-    """
-    return _fpppp_source(n_chains=n_chains, chain_len=chain_len,
-                         repeats=repeats)
-
-
 def program_source(name: str) -> str:
     """The minic source of one analog."""
     try:

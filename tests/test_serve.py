@@ -20,11 +20,12 @@ from pathlib import Path
 
 import pytest
 
-from repro.serve import (AllocationCache, AllocationServer, MAX_MODULE_BYTES,
-                         ProtocolError, ServeClient, ServeError,
-                         artifact_cache_key, build_corpus, decode_request,
-                         run_load)
+from repro.serve import (AllocationCache, AllocationServer, LoadReport,
+                         MAX_MODULE_BYTES, ProtocolError, ServeClient,
+                         ServeError, artifact_cache_key, build_corpus,
+                         decode_request, run_load)
 from repro.serve.protocol import MAX_LINE_BYTES, encode, error_response
+from repro.serve.server import _percentiles
 
 MINIC = "func int main() { int a = 6; print a * 7; return a; }"
 
@@ -223,6 +224,36 @@ class TestServer:
         assert stats["metrics"]["serve.cache.hits"] == 1
         assert stats["latency"]["count"] == 2
 
+    def test_latency_phases_count_concurrent_misses(self, server):
+        # Two distinct misses in flight at once, each on its own
+        # connection: compute and commit are each timed once per miss.
+        other = dict(IR_REQUEST, minic=MINIC.replace("6", "5"))
+        socks = [socket.create_connection(("127.0.0.1", server.port),
+                                          timeout=30) for _ in range(2)]
+        try:
+            for sock, doc in zip(socks, (IR_REQUEST, other)):
+                sock.sendall(encode(dict(doc)))
+            answers = []
+            for sock in socks:
+                with sock.makefile("rb") as reader:
+                    answers.append(json.loads(reader.readline()))
+        finally:
+            for sock in socks:
+                sock.close()
+        assert [a["cached"] for a in answers] == [False, False]
+        with ServeClient("127.0.0.1", server.port) as c:
+            before = c.stats()["metrics"]
+            assert before["serve.latency.compute_s.calls"] == 2
+            assert before["serve.latency.commit_s.calls"] == 2
+            assert before["serve.latency.compute_s"] > 0
+            assert before["serve.latency.commit_s"] > 0
+            assert c.request(dict(IR_REQUEST))["cached"] is True
+            after = c.stats()["metrics"]
+        for name in ("compute_s", "compute_s.calls", "commit_s",
+                     "commit_s.calls"):
+            key = f"serve.latency.{name}"
+            assert after[key] == before[key]
+
     def test_http_facade(self, server):
         base = f"http://127.0.0.1:{server.port}"
         health = json.load(urllib.request.urlopen(base + "/healthz"))
@@ -295,6 +326,16 @@ class TestLoad:
         assert warm.hits == 12 and warm.misses == 0
         assert warm.hit_rate == 1.0
         assert "100.0% hit rate" in warm.render()
+
+    def test_report_and_stats_share_the_percentile_rule(self):
+        # An even count: both medians take the upper middle sample.
+        samples = [0.4, 0.1, 0.3, 0.2]
+        report = LoadReport()
+        for seconds in samples:
+            report.record(seconds, cached=False)
+        assert report.median_s == _percentiles(samples)["median_s"] == 0.3
+        assert report.p90_s == _percentiles(samples)["p90_s"] == 0.4
+        assert LoadReport().median_s == 0.0 and _percentiles([]) == {}
 
     def test_process_pool_executor_end_to_end(self, tmp_path):
         # jobs=1: a real ProcessPoolExecutor carries the allocation.

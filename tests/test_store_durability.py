@@ -2,7 +2,7 @@
 
 The allocation server (docs/SERVING.md) made these paths load-bearing:
 a long-running service and the CLI now routinely share one store
-directory, and a crashed soak run must never poison the cache that
+directory, and a crashed server run must never poison the cache that
 survives it.  These tests pin the contract:
 
 * the segments are the only index: no ``index.json`` is written, and

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Load generator for a *running* allocation server.
 
-The in-process soak benchmark lives behind ``repro serve --soak``; this
-tool is its external-process counterpart — point it at any live server
+The service's benchmark is perfbench's ``serve`` workload; this tool
+drives a server from outside instead — point it at any live server
 (CI's smoke job starts one with ``repro serve`` and drives it from
 here) and it replays a deterministic fuzz-derived corpus with a
 configurable duplicate ratio, printing the hit rate and the latency
