@@ -167,7 +167,6 @@ def resolve_edges(fn: Function, machine: MachineDescription,
     iterations the consistency dataflow needed (0 when not run)."""
     cfg = shared.cfg
     liveness = shared.liveness
-    index = liveness.index
     records = state.records
     edges = cfg.edges()
 
@@ -179,12 +178,9 @@ def resolve_edges(fn: Function, machine: MachineDescription,
             for temp, src, dst in edge_traffic(records, liveness, pred, succ):
                 if src is MEM or dst is not MEM:
                     continue
-                bit = index.bit_or_none(temp)
-                if bit is None:
-                    continue
-                if (record.consistent_at_end >> bit & 1
-                        and not (record.wrote_tr >> bit & 1)):
-                    extra_gen[pred] |= 1 << bit
+                bit = 1 << temp.id
+                if record.consistent_at_end & bit and not record.wrote_tr & bit:
+                    extra_gen[pred] |= bit
 
     tr = stats.trace
     iterations = 0
@@ -210,9 +206,8 @@ def resolve_edges(fn: Function, machine: MachineDescription,
             loads: list[Instr] = []
             for temp, src, dst in edge_traffic(records, liveness, pred, succ):
                 if isinstance(src, PhysReg):
-                    bit = index.bit_or_none(temp)
-                    consistent = (bit is not None
-                                  and bool(record.consistent_at_end >> bit & 1))
+                    bit = 1 << temp.id
+                    consistent = bool(record.consistent_at_end & bit)
                     needs_store = False
                     if dst is MEM:
                         needs_store = not (avoid_consistent_stores
@@ -220,8 +215,8 @@ def resolve_edges(fn: Function, machine: MachineDescription,
                         if tr.enabled and not needs_store:
                             tr.emit(EventKind.STORE_ELIDED_CONSISTENT,
                                     temp=temp, reg=src, detail=f"edge{edge}")
-                    elif (run_dataflow and bit is not None
-                            and used_c_in[succ] >> bit & 1 and not consistent):
+                    elif (run_dataflow and used_c_in[succ] & bit
+                            and not consistent):
                         # A path from ``succ`` exploits consistency this edge
                         # does not deliver (Section 2.4's insertion rule).
                         needs_store = True

@@ -10,7 +10,9 @@ The scan tracks, at every linear point:
 * the ``ARE_CONSISTENT`` working bit vector of Section 2.4 — whether a
   resident temporary's register agrees with its memory home — plus the
   per-block ``WROTE_TR`` (kill) and ``USED_CONSISTENCY`` (gen) masks the
-  resolution dataflow consumes;
+  resolution dataflow consumes.  Every temporary's bit is its id, as in
+  liveness; block-local bits are masked off at block boundaries, so the
+  masks a block hands to resolution carry global temporaries only;
 * the location maps at the top and bottom of every block, which drive
   edge resolution.
 """
@@ -69,10 +71,9 @@ class ScanState:
         self.ever_used: set[PhysReg] = set()
         #: Current register of each temporary (absent/None = not resident).
         self.loc: dict[Temp, PhysReg] = {}
-        #: ARE_CONSISTENT working vector (bit per indexed global temp).
+        #: ARE_CONSISTENT working vector (bit ``temp.id``; block-local
+        #: bits are dropped at every block boundary).
         self.consistent: int = 0
-        #: Block-local consistency flags for unindexed (block-local) temps.
-        self.local_consistent: set[Temp] = set()
         #: Per-block records, filled as the scan proceeds.
         self.records: dict[str, BlockRecord] = {}
         self._wrote: int = 0
@@ -128,44 +129,29 @@ class ScanState:
     # ------------------------------------------------------------------
     # Consistency bits (Section 2.3/2.4).
     # ------------------------------------------------------------------
-    def _bit(self, temp: Temp) -> int | None:
-        return self.liveness.index.bit_or_none(temp)
-
     def is_consistent(self, temp: Temp) -> bool:
         """The ``A_t`` bit: register contents match the memory home."""
-        bit = self._bit(temp)
-        if bit is None:
-            return temp in self.local_consistent
-        return bool(self.consistent >> bit & 1)
+        return bool(self.consistent >> temp.id & 1)
 
     def set_consistent(self, temp: Temp) -> None:
         """A spill to or from memory makes register and memory agree."""
-        bit = self._bit(temp)
-        if bit is None:
-            self.local_consistent.add(temp)
-        else:
-            self.consistent |= 1 << bit
+        self.consistent |= 1 << temp.id
 
     def clear_consistent(self, temp: Temp) -> None:
         """A write to the register invalidates the memory home; also
         records the ``WROTE_TR`` kill bit for the resolution dataflow."""
-        bit = self._bit(temp)
-        if bit is None:
-            self.local_consistent.discard(temp)
-        else:
-            self.consistent &= ~(1 << bit)
-            self._wrote |= 1 << bit
+        bit = 1 << temp.id
+        self.consistent &= ~bit
+        self._wrote |= bit
 
     def note_consistency_used(self, temp: Temp) -> None:
         """A spill store was inhibited because ``A_t`` was set.  When the
-        register was not written in this block (``W_t`` clear), the
-        assumption is non-local and the ``USED_CONSISTENCY`` gen bit is
-        raised (Section 2.4)."""
-        bit = self._bit(temp)
-        if bit is None:
-            return
-        if not (self._wrote >> bit & 1):
-            self._used |= 1 << bit
+        register was not written in this block (``W_t`` clear) and ``t``
+        is global, the assumption is non-local and the
+        ``USED_CONSISTENCY`` gen bit is raised (Section 2.4)."""
+        bit = 1 << temp.id
+        if bit & self.liveness.global_mask and not bit & self._wrote:
+            self._used |= bit
             self.stat_consistency_assumptions += 1
 
     # ------------------------------------------------------------------
@@ -178,7 +164,7 @@ class ScanState:
         self.records[label] = record
         self._wrote = 0
         self._used = 0
-        self.local_consistent.clear()
+        self.consistent &= self.liveness.global_mask
         for t in self.liveness.live_in_temps(label):
             record.top_loc[t] = self.loc.get(t, MEM)
         return record
@@ -189,8 +175,9 @@ class ScanState:
         record = self.records[label]
         for t in self.liveness.live_out_temps(label):
             record.bottom_loc[t] = self.loc.get(t, MEM)
-        record.consistent_at_end = self.consistent
-        record.wrote_tr = self._wrote
+        global_mask = self.liveness.global_mask
+        record.consistent_at_end = self.consistent & global_mask
+        record.wrote_tr = self._wrote & global_mask
         record.used_consistency = self._used
         return record
 

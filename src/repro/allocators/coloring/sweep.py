@@ -30,9 +30,9 @@ interference within a block is *interval overlap*: a def of ``d`` at slot
    bulk.  Total cost is O(events + edges) int operations.
 
 The block's live-out mask is threaded straight from the liveness bit
-vectors through a :meth:`TempIndex.translation_table` into node-index
-space — no ``temps_of`` materialization, no re-masking, and temps that
-are dead at the block boundary cost nothing.
+vectors (bit = temp id) through a per-round id -> node-bit table into
+node-index space — no temp-list materialization, no re-masking, and temps
+that are dead at the block boundary cost nothing.
 """
 
 from __future__ import annotations
@@ -68,12 +68,16 @@ def build_interference(col) -> None:
     add_edges = graph.add_edges_from_mask
     live_out = liveness.live_out
 
-    # TempIndex bit -> node-index bit.  Globals absent from this round's
-    # code (a previous round's spill rewriting removed their occurrences)
-    # have no graph node and drop to 0 — the paper's "global liveness
+    # Temp id -> node-index bit, for the global temps liveness masks can
+    # hold.  Globals absent from this round's code (a previous round's
+    # spill rewriting removed their occurrences) or of the other class
+    # have no node here and drop to 0 — the paper's "global liveness
     # information is not affected by such temporaries" filtering.
-    table = liveness.index.translation_table(
-        lambda t: node_index.get(t) if t.regclass is regclass else None)
+    table = [0] * liveness.global_mask.bit_length()
+    for temp_id, temp in liveness.temps.items():
+        node = node_index.get(temp)
+        if node is not None:
+            table[temp_id] = 1 << node
 
     call_op = Op.CALL
     for block in fn.blocks:

@@ -2,13 +2,14 @@
 
 Python's arbitrary-precision integers *are* bit vectors (word-parallel
 ``&``/``|``/``~`` like the paper's implementation), so sets of temporaries
-are represented as plain ``int`` masks over a :class:`TempIndex`.
-Following Section 3, only temporaries live across basic-block boundaries
-get bit positions; block-local temporaries are excluded, "which greatly
-reduces bit vector sizes".
+are represented as plain ``int`` masks in which a temporary's bit is its
+per-function id.  Following Section 3, only temporaries live across
+basic-block boundaries take part in the dataflow; block-local temporaries
+are masked out, so their bits are never set and a mask is only as wide
+as the highest global id.
 """
 
-from repro.dataflow.bitvector import TempIndex, bits_of, popcount, translate_mask
+from repro.dataflow.bitvector import bits_of, translate_mask
 from repro.dataflow.framework import DataflowProblem, Direction, solve
 from repro.dataflow.liveness import LivenessInfo, compute_liveness
 
@@ -16,10 +17,8 @@ __all__ = [
     "DataflowProblem",
     "Direction",
     "LivenessInfo",
-    "TempIndex",
     "bits_of",
     "compute_liveness",
-    "popcount",
     "solve",
     "translate_mask",
 ]

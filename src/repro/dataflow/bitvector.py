@@ -1,16 +1,13 @@
-"""Integer bit vectors and the temporary <-> bit-position index.
+"""Integer bit vectors.
 
 All block-level dataflow in this repo (liveness here, the binpacking
-``USED_CONSISTENCY`` analysis in the allocator) manipulates ``int`` masks;
-a :class:`TempIndex` fixes which temporary owns which bit.
+``USED_CONSISTENCY`` analysis in the allocator) manipulates ``int`` masks
+in which a temporary's bit is its id: ``1 << temp.id``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator
-
-from repro.ir.temp import Temp
+from typing import Iterator
 
 
 def bits_of(mask: int) -> Iterator[int]:
@@ -19,11 +16,6 @@ def bits_of(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def popcount(mask: int) -> int:
-    """Number of set bits."""
-    return mask.bit_count()
 
 
 def translate_mask(mask: int, table: list[int]) -> int:
@@ -40,63 +32,3 @@ def translate_mask(mask: int, table: list[int]) -> int:
         out |= table[low.bit_length() - 1]
         mask ^= low
     return out
-
-
-@dataclass(eq=False)
-class TempIndex:
-    """A bijection between a chosen set of temporaries and bit positions.
-
-    Temporaries not in the index (block-local ones, under the paper's
-    Section 3 optimization) simply have no bit; ``bit_or_none`` returns
-    ``None`` for them and mask construction skips them.
-    """
-
-    temps: list[Temp]
-    _position: dict[Temp, int]
-
-    @classmethod
-    def of(cls, temps: Iterable[Temp]) -> "TempIndex":
-        """Index ``temps`` in their given (deterministic) order."""
-        ordered = list(temps)
-        return cls(ordered, {t: i for i, t in enumerate(ordered)})
-
-    def __len__(self) -> int:
-        return len(self.temps)
-
-    def __contains__(self, temp: Temp) -> bool:
-        return temp in self._position
-
-    def bit(self, temp: Temp) -> int:
-        """The bit position of ``temp``; raises ``KeyError`` if unindexed."""
-        return self._position[temp]
-
-    def bit_or_none(self, temp: Temp) -> int | None:
-        """The bit position of ``temp``, or ``None`` if unindexed."""
-        return self._position.get(temp)
-
-    def mask_of(self, temps: Iterable[Temp]) -> int:
-        """A mask with one bit per *indexed* temp in ``temps``."""
-        mask = 0
-        for t in temps:
-            pos = self._position.get(t)
-            if pos is not None:
-                mask |= 1 << pos
-        return mask
-
-    def temps_of(self, mask: int) -> list[Temp]:
-        """The temporaries selected by ``mask``."""
-        return [self.temps[i] for i in bits_of(mask)]
-
-    def translation_table(self, target_bit) -> list[int]:
-        """A per-bit table mapping this index into a foreign bit space.
-
-        ``target_bit(temp)`` returns the foreign bit position of ``temp``
-        or ``None`` to drop it; the table feeds :func:`translate_mask`,
-        letting a consumer (the interference build's node space, say)
-        re-index whole liveness masks without materializing temp lists.
-        """
-        table = []
-        for t in self.temps:
-            bit = target_bit(t)
-            table.append(0 if bit is None else 1 << bit)
-        return table

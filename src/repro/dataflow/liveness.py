@@ -9,20 +9,22 @@ blocks and is recovered later by the lifetime scan without any dataflow.
 Liveness is computed once, before allocation, and shared by every
 allocator — the paper's fair-comparison methodology.
 
-The per-block GEN/KILL inputs are assembled without building any
-per-temp Python sets: one forward pass over the function records each
-block's upward-exposed uses and first defs as *ordered lists* (a single
-generation-stamped dict tracks per-block definedness), and the bit masks
-are built directly from those lists once the :class:`TempIndex` is
-fixed.
+A temporary's bit is its id (``1 << temp.id``), the one numbering every
+consumer shares.  Block-local temporaries are left out by masking: GEN
+only ever holds upward-exposed (hence global) temps, and KILL is filtered
+through :attr:`LivenessInfo.global_mask`, so no local bit is ever set.
+The per-block inputs come from one forward pass over the function that
+records each block's upward-exposed uses and first defs (a single
+generation-stamped dict tracks per-block definedness).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from repro.cfg.cfg import CFG
-from repro.dataflow.bitvector import TempIndex
+from repro.dataflow.bitvector import bits_of
 from repro.dataflow.framework import DataflowProblem, Direction, solve
 from repro.ir.function import Function
 from repro.ir.temp import Temp
@@ -33,24 +35,28 @@ class LivenessInfo:
     """Fixed-point liveness for one function.
 
     Attributes:
-        index: Bit positions for the global temporaries only.
+        temps: The global temporaries, by id (bit ``i`` is ``temps[i]``).
+        global_mask: One bit per global temporary.
         live_in / live_out: Masks per block label.
         iterations: Worklist passes the solver needed (Section 2.6's
             "two or three iterations at most" observation).
     """
 
-    index: TempIndex
+    temps: dict[int, Temp]
+    global_mask: int
     live_in: dict[str, int]
     live_out: dict[str, int]
     iterations: int
 
     def live_out_temps(self, label: str) -> list[Temp]:
-        """The temporaries live out of block ``label``."""
-        return self.index.temps_of(self.live_out[label])
+        """The temporaries live out of block ``label``, in id order."""
+        temps = self.temps
+        return [temps[i] for i in bits_of(self.live_out[label])]
 
     def live_in_temps(self, label: str) -> list[Temp]:
-        """The temporaries live into block ``label``."""
-        return self.index.temps_of(self.live_in[label])
+        """The temporaries live into block ``label``, in id order."""
+        temps = self.temps
+        return [temps[i] for i in bits_of(self.live_in[label])]
 
 
 #: Generation-dict flags: the temp was used-before-defined / defined in
@@ -95,38 +101,22 @@ def _block_local_sets(fn: Function) -> tuple[dict[str, list[Temp]],
     return ue, kill
 
 
-def global_temps(fn: Function,
-                 ue: dict[str, list[Temp]] | None = None) -> list[Temp]:
-    """Temporaries upward exposed in some block, in deterministic order.
-
-    These are exactly the temporaries whose liveness crosses a block
-    boundary (assuming every use is reached by some def; uninitialized
-    reads also land here, conservatively).  ``ue`` may be passed when the
-    upward-exposed lists are already in hand (as in
-    :func:`compute_liveness`) to avoid rescanning every instruction.
-
-    The order — and therefore the :class:`TempIndex` bit layout — is the
-    concatenation over blocks of each block's upward-exposed temps in
-    sorted order, first occurrence kept.  Each temp is sorted only the
-    first time it appears: filtering to unseen temps before sorting
-    yields the same subsequence as sorting the whole block list and
-    deduplicating afterwards, without re-sorting temps already placed.
-    """
-    if ue is None:
-        ue, _ = _block_local_sets(fn)
-    out: dict[Temp, None] = {}
-    for block in fn.blocks:
-        for t in sorted(t for t in ue[block.label] if t not in out):
-            out[t] = None
-    return list(out)
-
-
 def compute_liveness(fn: Function, cfg: CFG | None = None) -> LivenessInfo:
     """Solve backward liveness over the global temporaries of ``fn``."""
     cfg = cfg or CFG.build(fn)
     ue, kill = _block_local_sets(fn)
-    index = TempIndex.of(global_temps(fn, ue))
-    gen = {label: index.mask_of(temps) for label, temps in ue.items()}
-    kill_masks = {label: index.mask_of(temps) for label, temps in kill.items()}
+    temps = {t.id: t for exposed in ue.values() for t in exposed}
+    global_mask = _mask_of(temps.values())
+    gen = {label: _mask_of(exposed) for label, exposed in ue.items()}
+    kill_masks = {label: _mask_of(defined) & global_mask
+                  for label, defined in kill.items()}
     result = solve(DataflowProblem(cfg, Direction.BACKWARD, gen, kill_masks))
-    return LivenessInfo(index, result.in_, result.out, result.iterations)
+    return LivenessInfo(temps, global_mask, result.in_, result.out,
+                        result.iterations)
+
+
+def _mask_of(temps: Iterable[Temp]) -> int:
+    mask = 0
+    for t in temps:
+        mask |= 1 << t.id
+    return mask

@@ -79,10 +79,6 @@ class Function:
                 return b
         raise KeyError(f"no block {label!r} in function {self.name}")
 
-    def block_index(self) -> dict[str, int]:
-        """Map from label to position in layout order."""
-        return {b.label: i for i, b in enumerate(self.blocks)}
-
     def add_block(self, block: BasicBlock) -> BasicBlock:
         """Append ``block``, enforcing label uniqueness."""
         if any(b.label == block.label for b in self.blocks):

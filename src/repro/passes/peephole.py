@@ -10,7 +10,6 @@ allocators get exactly the same pass, so the comparison stays fair.
 from __future__ import annotations
 
 from repro.ir.function import Function
-from repro.ir.module import Module
 
 
 def remove_redundant_moves(fn: Function) -> int:
@@ -26,8 +25,3 @@ def remove_redundant_moves(fn: Function) -> int:
             keep.append(instr)
         block.instrs = keep
     return removed
-
-
-def remove_redundant_moves_module(module: Module) -> int:
-    """Run the peephole over every function; returns total removals."""
-    return sum(remove_redundant_moves(fn) for fn in module.functions.values())

@@ -34,7 +34,6 @@ from repro.cfg.cfg import CFG
 from repro.dataflow.framework import DataflowProblem, Direction, solve
 from repro.ir.function import Function
 from repro.ir.instr import Instr, Op, SpillPhase
-from repro.ir.module import Module
 from repro.ir.temp import PhysReg, StackSlot
 from repro.ir.types import RegClass
 
@@ -175,12 +174,3 @@ def cleanup_spill_code(fn: Function, analyses=None) -> SpillCleanupStats:
         stats.stores_removed += removed
         if not forwarded and not removed:
             return stats
-
-
-def cleanup_spill_code_module(module: Module,
-                              analyses=None) -> SpillCleanupStats:
-    """Run the cleanup over every function; returns summed stats."""
-    total = SpillCleanupStats()
-    for fn in module.functions.values():
-        total = total + cleanup_spill_code(fn, analyses)
-    return total

@@ -92,12 +92,6 @@ def verify_allocation(fn: Function, machine: MachineDescription) -> None:
                         f"exist on {machine.name}")
 
 
-def verify_allocation_module(module: Module, machine: MachineDescription) -> None:
-    """Verify every function of ``module``."""
-    for fn in module.functions.values():
-        verify_allocation(fn, machine)
-
-
 # ----------------------------------------------------------------------
 # Pre-allocation operand snapshots.
 # ----------------------------------------------------------------------

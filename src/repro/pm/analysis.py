@@ -276,9 +276,3 @@ class AnalysisManager:
             del per_fn[name]
         if dropped:
             self.metrics.bump("pm.analysis.invalidated", len(dropped))
-
-    def invalidate_module(self, functions,
-                          preserve: frozenset[str] = frozenset()) -> None:
-        """Invalidate every function in ``functions`` (an iterable)."""
-        for fn in functions:
-            self.invalidate(fn, preserve)

@@ -141,8 +141,7 @@ class CompilationSession:
     # One full pipeline run.
     # ------------------------------------------------------------------
     def run(self, allocator: RegisterAllocator, *, dce: bool = True,
-            peephole: bool = True, spill_cleanup: bool = False,
-            verify: bool = True, verify_dataflow: bool = False,
+            spill_cleanup: bool = False, verify_dataflow: bool = False,
             trace: Tracer | None = None,
             profiler: PhaseProfiler | None = None,
             metrics: MetricsRegistry | None = None,
@@ -151,8 +150,9 @@ class CompilationSession:
         verify, report.
 
         This is the paper's Section 3 pipeline with everything except
-        the allocator held fixed.  ``dce`` and ``peephole`` switch the
-        stages around allocation off (both on by default).
+        the allocator held fixed.  ``dce`` switches the dead-code pass
+        before allocation off (on by default); the peephole and the
+        structural post-allocation verifier always run.
 
         ``spill_cleanup`` additionally runs the post-allocation spill-code
         cleanup the paper sketches as future work (store-to-load
@@ -160,11 +160,9 @@ class CompilationSession:
         measurements reflect the paper's pipeline, on for the extension
         ablation.
 
-        ``verify`` runs the structural post-allocation verifier (on by
-        default).  ``verify_dataflow`` additionally runs the
-        path-sensitive dataflow verifier
-        (:func:`repro.passes.verify_alloc.verify_dataflow`) right after
-        allocation — before spill cleanup and the peephole, which rewrite
+        ``verify_dataflow`` additionally runs the path-sensitive dataflow
+        verifier (:func:`repro.passes.verify_alloc.verify_dataflow`) right
+        after allocation — before spill cleanup and the peephole, which rewrite
         the allocator's output.  It assumes every source temporary is
         defined before use on every path, which hand-written IR need not
         guarantee, so it stays opt-in.
@@ -203,14 +201,9 @@ class CompilationSession:
         else:
             with prof.phase("pipeline.spill_cleanup"):
                 cleanup = SpillCleanupStats()
-        if peephole:
-            moves_removed = sum(
-                self.passes.run(PEEPHOLE_PASS, working, profiler=prof))
-        else:
-            with prof.phase("pipeline.peephole"):
-                moves_removed = 0
-        if verify:
-            self.passes.run(verify_pass(self.machine), working, profiler=prof)
+        moves_removed = sum(
+            self.passes.run(PEEPHOLE_PASS, working, profiler=prof))
+        self.passes.run(verify_pass(self.machine), working, profiler=prof)
         stats.metrics.bump("pipeline.dce.removed", dce_removed)
         stats.metrics.bump("pipeline.peephole.moves_removed", moves_removed)
         if spill_cleanup:

@@ -125,9 +125,6 @@ class SpillCodeEmitter:
         """Whether :meth:`reload` produced ``instr`` by remat."""
         return instr.remat_for is not None
 
-    def remattable(self, temp: Temp) -> bool:
-        return temp in self._remat
-
     # ------------------------------------------------------------------
     # Stress hooks.
     # ------------------------------------------------------------------

@@ -1,14 +1,11 @@
 """Bit vectors, the generic solver, and liveness."""
 
-import pytest
-
 from repro.cfg.cfg import CFG
-from repro.dataflow.bitvector import TempIndex, bits_of, popcount, translate_mask
+from repro.dataflow.bitvector import bits_of, translate_mask
 from repro.dataflow.framework import DataflowProblem, Direction, solve
-from repro.dataflow.liveness import compute_liveness, global_temps
+from repro.dataflow.liveness import compute_liveness
 from repro.ir.builder import FunctionBuilder
 from repro.ir.function import Function
-from repro.ir.temp import Temp
 from repro.ir.types import RegClass
 
 G = RegClass.GPR
@@ -19,32 +16,8 @@ class TestBitVector:
         assert list(bits_of(0)) == []
         assert list(bits_of(0b101001)) == [0, 3, 5]
 
-    def test_popcount(self):
-        assert popcount(0) == 0
-        assert popcount((1 << 100) | 7) == 4
-
-    def test_temp_index_round_trip(self):
-        temps = [Temp(G, i) for i in range(5)]
-        index = TempIndex.of(temps)
-        mask = index.mask_of([temps[1], temps[3]])
-        assert index.temps_of(mask) == [temps[1], temps[3]]
-        assert temps[2] in index
-        assert index.bit(temps[4]) == 4
-
-    def test_unindexed_temps_are_skipped(self):
-        index = TempIndex.of([Temp(G, 0)])
-        stranger = Temp(G, 99)
-        assert index.bit_or_none(stranger) is None
-        assert index.mask_of([stranger]) == 0
-        with pytest.raises(KeyError):
-            index.bit(stranger)
-
-    def test_translation_table_reindexes_masks(self):
-        temps = [Temp(G, i) for i in range(4)]
-        index = TempIndex.of(temps)
-        target = {temps[0]: 5, temps[2]: 1}  # temps[1]/[3] dropped
-        table = index.translation_table(target.get)
-        assert table == [1 << 5, 0, 1 << 1, 0]
+    def test_translate_mask_reindexes_masks(self):
+        table = [1 << 5, 0, 1 << 1, 0]  # bits 1 and 3 dropped
         assert translate_mask(0b1111, table) == (1 << 5) | (1 << 1)
         assert translate_mask(0b1010, table) == 0  # only dropped bits set
         assert translate_mask(0, table) == 0
@@ -71,16 +44,21 @@ def loop_function():
 
 
 class TestLiveness:
-    def test_global_temps_exclude_block_locals(self):
+    def test_block_locals_have_no_bit(self):
         fn, x, y = loop_function()
-        globals_ = global_temps(fn)
-        assert x in globals_
-        assert y not in globals_  # defined and used within one block
+        info = compute_liveness(fn)
+        assert info.temps == {x.id: x}
+        assert info.global_mask == 1 << x.id
+        # y is defined and used within one block: its bit is never set.
+        bit = 1 << y.id
+        for label in info.live_in:
+            assert not info.live_in[label] & bit
+            assert not info.live_out[label] & bit
 
     def test_live_sets_of_loop(self):
         fn, x, y = loop_function()
         info = compute_liveness(fn)
-        bit = 1 << info.index.bit(x)
+        bit = 1 << x.id
         assert info.live_out["entry"] & bit
         assert info.live_in["head"] & bit
         assert info.live_out["body"] & bit
@@ -100,25 +78,24 @@ class TestLiveness:
         assert info.live_in_temps("head") == [x]
         assert info.live_out_temps("out") == []
 
-    def test_global_temps_order_is_pinned(self):
-        # The TempIndex bit layout is part of the repo's determinism
-        # contract: concatenation over blocks of each block's
-        # upward-exposed temps in sorted order, first occurrence kept.
+    def test_live_temps_come_in_id_order(self):
+        # A temp's bit is its id, so live sets list temps by id — not in
+        # the order blocks first expose them (t5 here, then t2).
         fn = Function("f")
         t = [fn.new_temp(G) for _ in range(6)]
         b = FunctionBuilder(fn)
         b.new_block("b0")
-        b.print_(t[5])
-        b.print_(t[2])
         b.jmp("b1")
         b.new_block("b1")
-        b.print_(t[4])
-        b.print_(t[2])  # already placed by b0 — must not move
-        b.print_(t[1])
-        b.ret(t[1])
-        assert global_temps(fn) == [t[2], t[5], t[1], t[4]]
-        index = compute_liveness(fn).index
-        assert [index.bit(x) for x in (t[2], t[5], t[1], t[4])] == [0, 1, 2, 3]
+        b.print_(t[5])
+        b.jmp("b2")
+        b.new_block("b2")
+        b.print_(t[2])
+        b.print_(t[5])
+        b.ret(t[2])
+        info = compute_liveness(fn)
+        assert info.live_in_temps("b1") == [t[2], t[5]]
+        assert info.live_out_temps("b0") == [t[2], t[5]]
 
     def test_second_def_does_not_duplicate_kill(self):
         fn = Function("f")
@@ -177,7 +154,7 @@ class TestGenericSolver:
         assert list(info.live_out) == labels
         # Liveness propagates through the unreachable chain too.
         for i in range(1, n):
-            bit = 1 << info.index.bit(chain[i - 1])
+            bit = 1 << chain[i - 1].id
             assert info.live_in[f"dead{i}"] & bit
             assert info.live_out[f"dead{i - 1}"] & bit
         assert info.live_out[f"dead{n - 1}"] == 0

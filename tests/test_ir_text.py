@@ -6,10 +6,12 @@ from repro.ir.builder import FunctionBuilder
 from repro.ir.function import Function
 from repro.ir.instr import Instr, Op, SpillPhase, make
 from repro.ir.module import Module
-from repro.ir.parser import IRParseError, parse_function, parse_module, parse_reg
+from repro.ir.parser import (MAX_MASK_BITS, MAX_TEMP_ID, IRParseError,
+                             parse_function, parse_module, parse_reg)
 from repro.ir.printer import print_function, print_instr, print_module
 from repro.ir.temp import PhysReg, StackSlot, Temp
 from repro.ir.types import RegClass
+from repro.pm.batch import allocation_artifact
 
 G = RegClass.GPR
 F = RegClass.FPR
@@ -111,6 +113,49 @@ class TestRoundTrip:
         assert fn.new_temp(G).id == 8
 
 
+# A temp's id is its liveness bit, so ``t3`` and ``ft3`` would share one
+# bit: this module, both temps live across the jump, came back from the
+# allocators with a load of a never-written slot.
+_SHARED_ID_IR = """func main() {
+entry:
+  li t3, 5
+  fli ft3, 2.5
+  jmp next
+next:
+  print t3
+  print ft3
+  ret
+}
+"""
+
+# Every mask as wide as this id takes 5 MB; at t4000000000 one mask
+# would take 500 MB.
+_HUGE_ID_IR = """func main() {
+entry:
+  li t40000000, 5
+  jmp next
+next:
+  print t40000000
+  ret
+}
+"""
+
+
+def _jump_chain(name: str, jumps: int, temp_id: int) -> str:
+    """``name`` defines ``t<temp_id>`` and prints it after ``jumps``
+    jumps, so the temp is live through all ``jumps + 1`` blocks."""
+    lines = [f"func {name}() {{", "b0:", f"  li t{temp_id}, 5"]
+    for i in range(1, jumps + 1):
+        lines += [f"  jmp b{i}", f"b{i}:"]
+    lines += [f"  print t{temp_id}", "  ret", "}"]
+    return "\n".join(lines) + "\n"
+
+
+# Every id is allowed here, but liveness keeps masks as wide as the id for
+# every block: 64 blocks x 2**20 bits.
+_MANY_BLOCKS_IR = _jump_chain("main", 63, MAX_TEMP_ID - 1)
+
+
 class TestParseErrors:
     def test_unknown_opcode(self):
         with pytest.raises(IRParseError, match="unknown opcode"):
@@ -131,6 +176,35 @@ class TestParseErrors:
     def test_branch_to_missing_immediate(self):
         with pytest.raises(IRParseError, match="missing"):
             parse_function("func f() {\nb:\n  li t0\n  ret\n}")
+
+    def test_one_id_in_both_classes(self):
+        with pytest.raises(IRParseError, match="share one id"):
+            parse_module(_SHARED_ID_IR)
+
+    def test_id_too_large(self):
+        with pytest.raises(IRParseError, match="ids must be below"):
+            parse_module(_HUGE_ID_IR)
+        parse_function(f"func f() {{\nb:\n  li t{MAX_TEMP_ID - 1}, 1\n"
+                       "  ret\n}")
+
+    def test_mask_bits_bounded_per_module(self):
+        with pytest.raises(IRParseError, match="exceeds"):
+            parse_module(_MANY_BLOCKS_IR)
+        # The bound covers the module, not each function: 9 blocks of
+        # 2**20 bits fit once, not twice.
+        one = _jump_chain("f", 8, MAX_TEMP_ID - 1)
+        assert 9 * MAX_TEMP_ID <= MAX_MASK_BITS < 18 * MAX_TEMP_ID
+        parse_module(one)
+        with pytest.raises(IRParseError, match="exceeds"):
+            parse_module(one + _jump_chain("g", 8, MAX_TEMP_ID - 1))
+
+    @pytest.mark.parametrize("text",
+                             [_SHARED_ID_IR, _HUGE_ID_IR, _MANY_BLOCKS_IR],
+                             ids=["shared-id", "huge-id", "many-blocks"])
+    def test_allocation_service_reports_parse_error(self, text):
+        artifact = allocation_artifact(
+            {"ir": text, "machine": "alpha", "allocator": "second-chance"})
+        assert artifact["error"]["code"] == "parse-error"
 
     def test_comments_and_blank_lines_ignored(self):
         fn = parse_function(

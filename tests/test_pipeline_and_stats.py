@@ -57,9 +57,8 @@ class TestPipeline:
     def test_pipeline_can_skip_stages(self, tiny_machine):
         module = compile_minic(SRC, tiny_machine)
         result = CompilationSession(module, tiny_machine).run(
-            SecondChanceBinpacking(), dce=False, peephole=False)
+            SecondChanceBinpacking(), dce=False)
         assert result.dce_removed == 0
-        assert result.moves_removed == 0
         assert simulate(result.module, tiny_machine).output == [20]
 
 

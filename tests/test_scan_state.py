@@ -82,7 +82,7 @@ class TestConsistencyBits:
         state.begin_block("entry")
         state.clear_consistent(x)
         record = state.end_block("entry")
-        bit = state.liveness.index.bit(x)
+        bit = x.id
         assert record.wrote_tr >> bit & 1
 
     def test_used_consistency_only_when_nonlocal(self):
@@ -91,7 +91,7 @@ class TestConsistencyBits:
         state.set_consistent(x)
         state.note_consistency_used(x)  # W clear -> gen bit
         record = state.end_block("entry")
-        bit = state.liveness.index.bit(x)
+        bit = x.id
         assert record.used_consistency >> bit & 1
 
         state.begin_block("next")
@@ -108,8 +108,12 @@ class TestConsistencyBits:
         assert state.is_consistent(y)
         state.clear_consistent(y)
         assert not state.is_consistent(y)
-        # Locals never set shared-vector bits.
         assert state.consistent == 0
+        # A local's bits never reach the block's record.
+        state.set_consistent(y)
+        record = state.end_block("next")
+        assert not record.consistent_at_end >> y.id & 1
+        assert not record.wrote_tr >> y.id & 1
 
     def test_local_consistency_resets_each_block(self):
         state, _, y = make_state()
@@ -141,7 +145,7 @@ class TestBlockRecords:
 
     def test_conservative_reinit_intersects_predecessors(self):
         state, x, _ = make_state()
-        bit = state.liveness.index.bit(x)
+        bit = x.id
         state.begin_block("entry")
         state.set_consistent(x)
         state.end_block("entry")

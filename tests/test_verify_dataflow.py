@@ -180,10 +180,9 @@ class TestPipelineWiring:
     def test_verify_runs_before_peephole(self):
         """Move elimination leaves identity moves the peephole deletes;
         the verifier must see them (their defs re-establish variables),
-        so ``verify_dataflow=True`` together with ``peephole=True`` must
-        not produce false positives."""
+        so ``verify_dataflow=True`` followed by the peephole must not
+        produce false positives."""
         machine = tiny(4, 4)
         module = random_module(1, machine, size=35)
         CompilationSession(module, machine).run(
-            ALLOCATOR_FACTORIES["second-chance"](), verify_dataflow=True,
-            peephole=True)
+            ALLOCATOR_FACTORIES["second-chance"](), verify_dataflow=True)
