@@ -22,13 +22,13 @@ from typing import TYPE_CHECKING
 from repro.cfg.cfg import CFG
 from repro.ir.block import BasicBlock
 from repro.cfg.loops import LoopInfo
-from repro.dataflow.liveness import LivenessInfo, compute_liveness
+from repro.dataflow.liveness import LivenessInfo
 from repro.ir.function import Function
 from repro.ir.instr import Instr, Op, SpillPhase
 from repro.ir.module import Module
 from repro.ir.temp import PhysReg, StackSlot, Temp
 from repro.ir.types import RegClass
-from repro.lifetimes.intervals import LifetimeTable, compute_lifetimes
+from repro.lifetimes.intervals import LifetimeTable
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import PhaseProfiler
 from repro.obs.trace import NULL_TRACER, Tracer
@@ -48,33 +48,13 @@ class AllocationError(RuntimeError):
 
 @dataclass(eq=False)
 class SharedAnalyses:
-    """The precomputed per-function inputs every allocator receives."""
+    """The precomputed per-function inputs every allocator receives
+    (built by :meth:`repro.pm.analysis.AnalysisManager.shared`)."""
 
     cfg: CFG
     liveness: LivenessInfo
     loops: LoopInfo
     lifetimes: LifetimeTable
-
-    @classmethod
-    def build(cls, fn: Function, machine: MachineDescription,
-              profiler: PhaseProfiler | None = None) -> "SharedAnalyses":
-        """Run the shared setup passes for ``fn``.
-
-        With a ``profiler``, each analysis is timed under a ``setup.*``
-        phase (the paper's timings *exclude* these, and so does
-        ``alloc_seconds``; the profiler is how the exclusion is visible).
-        """
-        if profiler is None:
-            profiler = PhaseProfiler()  # discarded; keeps one code path
-        with profiler.phase("setup.cfg"):
-            cfg = CFG.build(fn)
-        with profiler.phase("setup.liveness"):
-            liveness = compute_liveness(fn, cfg)
-        with profiler.phase("setup.loops"):
-            loops = LoopInfo.build(cfg)
-        with profiler.phase("setup.lifetimes"):
-            lifetimes = compute_lifetimes(fn, machine, cfg, liveness, loops)
-        return cls(cfg, liveness, loops, lifetimes)
 
 
 @dataclass
@@ -216,7 +196,7 @@ def insert_callee_saved_code(fn: Function, machine: MachineDescription,
         # saves must execute exactly once, so they get their own block.
         prologue = BasicBlock(fn.new_label("prologue"))
         prologue.instrs = [*saves, Instr(Op.JMP, targets=[entry.label])]
-        fn.blocks.insert(0, prologue)
+        fn.insert_block(0, prologue)
     else:
         entry.insert_at_top(saves)
     for block in fn.blocks:
@@ -274,12 +254,14 @@ def allocate_module(module: Module, allocator: RegisterAllocator,
     observability in; by default tracing is disabled and the profiler
     and metrics registry are fresh per run (reachable via the stats).
 
-    With a ``session`` (:class:`repro.pm.session.CompilationSession`) the
-    shared analyses come from the session's cache — transferred from the
-    base module when this module is one of its clones — and each function
-    is invalidated in that cache right after allocation rewrites it, per
-    the invalidation contract (the allocators insert spill code and split
-    edges, so nothing survives).
+    The shared analyses come from an
+    :class:`~repro.pm.analysis.AnalysisManager`: the ``session``'s
+    (:class:`repro.pm.session.CompilationSession`) when given — so they
+    are transferred from the base module when this module is one of its
+    clones — or else a private one.  Each function is invalidated in that
+    cache right after allocation rewrites it, per the invalidation
+    contract (the allocators insert spill code and split edges, so
+    nothing survives).
 
     ``context`` (default: the inert :data:`~repro.spill.DEFAULT_CONTEXT`)
     configures rematerialization and the seeded stress modes; it is
@@ -294,16 +276,18 @@ def allocate_module(module: Module, allocator: RegisterAllocator,
         trace=NULL_TRACER if trace is None else trace,
         profiler=PhaseProfiler() if profiler is None else profiler,
         metrics=MetricsRegistry() if metrics is None else metrics)
+    if session is not None:
+        analyses = session.analyses
+    else:
+        from repro.pm.analysis import AnalysisManager  # pm imports this module
+        analyses = AnalysisManager(machine)
     tr = stats.trace
     prof = stats.profiler
     for fn in module.functions.values():
         if tr.enabled:
             tr.set_location(fn=fn.name)
         with prof.phase("setup"):
-            if session is not None:
-                shared = session.shared(fn, profiler=prof)
-            else:
-                shared = SharedAnalyses.build(fn, machine, prof)
+            shared = analyses.shared(fn, prof)
         slots = SpillSlots()
         emitter = SpillCodeEmitter(fn, machine, context, slots, stats)
         stats.candidates[fn.name] = len(fn.all_temps())
@@ -312,8 +296,7 @@ def allocate_module(module: Module, allocator: RegisterAllocator,
         stats.alloc_seconds += core.seconds
         with prof.phase("frame.callee_saved"):
             used = insert_callee_saved_code(fn, machine, slots)
-        if session is not None:
-            session.analyses.invalidate(fn)
+        analyses.invalidate(fn)
         stats.callee_saved_used[fn.name] = len(used)
         stats.spilled_temps[fn.name] = len(slots.spilled_temps())
         stats.metrics.bump("alloc.candidates", stats.candidates[fn.name])

@@ -373,8 +373,9 @@ class SecondChanceBinpacking(RegisterAllocator):
                 if opts.conservative_consistency:
                     state.reinit_consistency_conservative(block.label)
                 rewritten: list[Instr] = []
-                for instr in block.instrs:
-                    use_point = table.use_point(instr)
+                block_start = table.block_span[block.label][0]
+                for n, instr in enumerate(block.instrs):
+                    use_point = block_start + 2 * n
                     def_point = use_point + 1
                     pre: list[Instr] = []
                     locked: set[PhysReg] = set()

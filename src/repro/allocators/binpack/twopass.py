@@ -70,7 +70,7 @@ class TwoPassBinpacking(RegisterAllocator):
         forced_memory: set[Temp] = emitter.forced_memory(
             t for t in table.temps if isinstance(t, Temp))
         while True:
-            decision = self._decide(table, emitter, forced_memory)
+            decision = self._decide(fn, table, emitter, forced_memory)
             if decision.victim is None:
                 break
             forced_memory.add(decision.victim)
@@ -87,7 +87,8 @@ class TwoPassBinpacking(RegisterAllocator):
         reorder or shrink this through the emitter.)"""
         return emitter.register_order(temp.regclass, prefer_caller_saved=True)
 
-    def _decide(self, table: LifetimeTable, emitter: SpillCodeEmitter,
+    def _decide(self, fn: Function, table: LifetimeTable,
+                emitter: SpillCodeEmitter,
                 forced_memory: set[Temp]) -> _Decision:
         decision = _Decision()
         decision.memory |= forced_memory
@@ -109,8 +110,8 @@ class TwoPassBinpacking(RegisterAllocator):
             return all(not table.temps[other].live.overlaps_interval(start, end)
                        for other in committed.get(reg, []))
 
-        for instr in table.linear:
-            start = table.use_point(instr)
+        for n, instr in enumerate(fn.instructions()):
+            start = 2 * n
             end = start + 2
             locked: set[PhysReg] = {r for r in instr.regs()
                                     if isinstance(r, PhysReg)}

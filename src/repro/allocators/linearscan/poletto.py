@@ -55,7 +55,7 @@ class PolettoLinearScan(RegisterAllocator):
         restarts = 0
         while True:
             assignment = self._scan_intervals(table, emitter, forced_memory)
-            scratch, victim = self._assign_scratches(table, emitter,
+            scratch, victim = self._assign_scratches(fn, table, emitter,
                                                      assignment)
             if victim is None:
                 break
@@ -119,7 +119,7 @@ class PolettoLinearScan(RegisterAllocator):
     # ------------------------------------------------------------------
     # Point lifetimes for memory residents.
     # ------------------------------------------------------------------
-    def _assign_scratches(self, table: LifetimeTable,
+    def _assign_scratches(self, fn: Function, table: LifetimeTable,
                           emitter: SpillCodeEmitter,
                           assignment: dict[Temp, PhysReg],
                           ) -> tuple[dict[tuple[Instr, Temp], PhysReg],
@@ -134,8 +134,8 @@ class PolettoLinearScan(RegisterAllocator):
                        for t, r in assignment.items()
                        for s, e in (assigned_spans[t],))
 
-        for instr in table.linear:
-            start = table.use_point(instr)
+        for n, instr in enumerate(fn.instructions()):
+            start = 2 * n
             end = start + 2
             locked: set[PhysReg] = {r for r in instr.regs()
                                     if isinstance(r, PhysReg)}

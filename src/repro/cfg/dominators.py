@@ -55,15 +55,24 @@ class DominatorTree:
         return cls(idom, entry, index)
 
     def dominates(self, a: str, b: str) -> bool:
-        """True when ``a`` dominates ``b`` (reflexively)."""
+        """True when ``a`` dominates ``b`` (reflexively).
+
+        A dominator precedes every block it dominates in reverse
+        postorder, so the walk up ``b``'s idom chain stops once it is
+        below ``a``'s RPO index: a forward edge's query costs O(1).
+        Unreachable blocks dominate, and are dominated by, only
+        themselves.
+        """
+        if a == b:
+            return True
+        index = self._rpo_index
+        floor = index.get(a)
+        if floor is None:
+            return False
         node = b
-        while True:
-            if node == a:
-                return True
-            parent = self.idom.get(node)
-            if parent is None or parent == node:
-                return node == a
-            node = parent
+        while index.get(node, -1) > floor:
+            node = self.idom[node]
+        return node == a
 
     def dominators_of(self, label: str) -> list[str]:
         """The dominators of ``label``, from itself up to the entry."""

@@ -2,9 +2,14 @@
 
 The block list order is the *linear order* used throughout the paper: it
 defines lifetime intervals (Section 2.1) and the order of the single
-allocate/rewrite sweep (Section 2.3).  ``Function`` also owns the
-temporary-id counter so that every allocation candidate in a function has
-a unique id — the dataflow bit vectors index temporaries by these ids.
+allocate/rewrite sweep (Section 2.3).  A linear point is a position in
+that order — a block's start plus twice the instruction's index in it —
+so no analysis keys on an instruction object, and a clone is a plain
+copy that every cached analysis still describes.  ``Function`` also owns
+the temporary-id counter so that every allocation candidate in a
+function has a unique id — the dataflow bit vectors index temporaries by
+these ids — and the set of block labels, so that adding a block or
+minting a fresh label costs O(1).
 """
 
 from __future__ import annotations
@@ -34,6 +39,12 @@ class Function:
     params: list[Temp] = field(default_factory=list)
     blocks: list[BasicBlock] = field(default_factory=list)
     _next_temp_id: int = 0
+    # Every label in ``blocks``: blocks join only through
+    # :meth:`insert_block`, so label checks cost O(1), not O(blocks).
+    _labels: set[str] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self._labels = {b.label for b in self.blocks}
 
     # ------------------------------------------------------------------
     # Temporaries.
@@ -81,23 +92,28 @@ class Function:
 
     def add_block(self, block: BasicBlock) -> BasicBlock:
         """Append ``block``, enforcing label uniqueness."""
-        if any(b.label == block.label for b in self.blocks):
+        return self.insert_block(len(self.blocks), block)
+
+    def insert_block(self, index: int, block: BasicBlock) -> BasicBlock:
+        """Insert ``block`` at layout position ``index``, enforcing label
+        uniqueness."""
+        if block.label in self._labels:
             raise ValueError(f"duplicate block label {block.label!r}")
-        self.blocks.append(block)
+        self._labels.add(block.label)
+        self.blocks.insert(index, block)
         return block
 
     def new_label(self, hint: str = "b") -> str:
         """A block label not yet used in this function."""
-        existing = {b.label for b in self.blocks}
         i = len(self.blocks)
-        while f"{hint}{i}" in existing:
+        while f"{hint}{i}" in self._labels:
             i += 1
         return f"{hint}{i}"
 
     # ------------------------------------------------------------------
     # Cloning.
     # ------------------------------------------------------------------
-    def clone(self, instr_map: dict[Instr, Instr] | None = None) -> "Function":
+    def clone(self) -> "Function":
         """A structural copy: fresh blocks and instructions, shared atoms.
 
         Temporaries, physical registers, slots, labels and immediates are
@@ -105,19 +121,10 @@ class Function:
         (the only things passes mutate) are fresh.  This is what the
         pipeline uses instead of ``copy.deepcopy`` — it is one linear
         sweep with no recursion or memo table.
-
-        ``instr_map``, when given, is filled with the original-to-clone
-        instruction correspondence, which is what lets the analysis
-        manager *transfer* instruction-keyed analyses (linear order,
-        lifetime tables) onto the clone instead of recomputing them.
         """
-        blocks: list[BasicBlock] = []
-        for block in self.blocks:
-            copied = [instr.copy() for instr in block.instrs]
-            if instr_map is not None:
-                for old, new in zip(block.instrs, copied):
-                    instr_map[old] = new
-            blocks.append(BasicBlock(block.label, copied))
+        blocks = [BasicBlock(block.label,
+                             [instr.copy() for instr in block.instrs])
+                  for block in self.blocks]
         return Function(self.name, list(self.params), blocks,
                         self._next_temp_id)
 

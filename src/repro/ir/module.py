@@ -74,16 +74,14 @@ class Module:
         self.globals[name] = arr
         return arr
 
-    def clone(self, instr_map: "dict | None" = None) -> "Module":
+    def clone(self) -> "Module":
         """A structural copy of the whole program (no ``copy.deepcopy``).
 
         Functions are cloned block-by-block (:meth:`Function.clone`);
-        global arrays are frozen and shared.  ``instr_map``, when given,
-        collects the original-to-clone instruction correspondence across
-        every function, for analysis transfer (see :mod:`repro.pm`).
+        global arrays are frozen and shared.
         """
         return Module(
-            functions={name: fn.clone(instr_map)
+            functions={name: fn.clone()
                        for name, fn in self.functions.items()},
             globals=dict(self.globals),
             _next_addr=self._next_addr)

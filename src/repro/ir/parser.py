@@ -16,6 +16,7 @@ from repro.ir.instr import OP_INFO, Instr, Op, SpillPhase
 from repro.ir.module import Module
 from repro.ir.temp import PhysReg, Reg, StackSlot, Temp
 from repro.ir.types import RegClass
+from repro.ir.validate import IRValidationError, check_temp_numbering
 
 
 class IRParseError(ValueError):
@@ -42,17 +43,6 @@ _CALL_RE = re.compile(
     r"^call\s+@(?P<callee>[A-Za-z_][A-Za-z0-9_]*)\((?P<args>[^)]*)\)"
     r"(?:\s*->\s*(?P<rets>.+?))?(?:\s*!(?P<phase>\w+))?$")
 _INT_RE = re.compile(r"^-?\d+$")
-
-#: Exclusive bound on temporary ids.  An id is a liveness bit position
-#: (``1 << temp.id``), so this caps one mask at 128 KiB.
-MAX_TEMP_ID = 1 << 20
-
-#: Bound on a module's blocks x (highest temp id + 1), summed over its
-#: functions.  Liveness keeps live-in, live-out, gen and kill masks for
-#: every block, each as wide as the highest id, so this caps them at
-#: 8 MiB together (the largest shipped program, tomcatv, needs 10,593).
-MAX_MASK_BITS = 1 << 24
-
 
 def parse_reg(text: str) -> Reg:
     """Parse a temporary (``t3``, ``ft2.x``) or physical register (``r5``)."""
@@ -144,22 +134,6 @@ def _parse_instr(line: str, lineno: int) -> Instr:
     return instr
 
 
-def _check_temp_ids(fn: Function, lineno: int) -> int:
-    """Reject ids that cannot be bit positions: one id used by both
-    classes (``t3`` and ``ft3`` would share a bit), or one too large.
-    The printer never emits either, since ids come from one counter.
-    Returns the function's mask bits, blocks x (highest id + 1)."""
-    class_of: dict[int, RegClass] = {}
-    for temp in fn.all_temps():
-        if temp.id >= MAX_TEMP_ID:
-            raise IRParseError(lineno, f"temporary {temp} in {fn.name}: "
-                                       f"ids must be below {MAX_TEMP_ID}")
-        if class_of.setdefault(temp.id, temp.regclass) is not temp.regclass:
-            raise IRParseError(lineno, f"t{temp.id} and ft{temp.id} in "
-                                       f"{fn.name} share one id")
-    return len(fn.blocks) * (max(class_of, default=-1) + 1)
-
-
 def parse_function(text: str) -> Function:
     """Parse a single ``func ... { ... }`` body."""
     module = parse_module(text)
@@ -209,10 +183,10 @@ def parse_module(text: str) -> Module:
         if line == "}":
             if fn is None:
                 raise IRParseError(lineno, "stray '}'")
-            mask_bits += _check_temp_ids(fn, lineno)
-            if mask_bits > MAX_MASK_BITS:
-                raise IRParseError(lineno, f"blocks x (highest temporary id "
-                                           f"+ 1) exceeds {MAX_MASK_BITS}")
+            try:
+                mask_bits = check_temp_numbering(fn, mask_bits)
+            except IRValidationError as exc:
+                raise IRParseError(lineno, str(exc)) from None
             fn.note_temp_ids()
             module.add_function(fn)
             fn = None
@@ -222,7 +196,10 @@ def parse_module(text: str) -> Module:
             if fn is None:
                 raise IRParseError(lineno, "label outside a function")
             block = BasicBlock(lab.group("label"))
-            fn.add_block(block)
+            try:
+                fn.add_block(block)
+            except ValueError as exc:
+                raise IRParseError(lineno, str(exc)) from None
             continue
         if block is None:
             raise IRParseError(lineno, f"instruction outside a block: {line!r}")

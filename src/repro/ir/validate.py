@@ -10,6 +10,10 @@ no temporaries remain anywhere in the code.
 Passes call this between phases in tests; it is cheap (one sweep) and has
 caught most allocator bugs at the point of introduction rather than at
 simulation time.
+
+``check_temp_numbering`` guards the untrusted doors (``parse_module`` and
+``compile_minic``): a temporary's id is its liveness bit, so the ids a
+module may use are bounded before any analysis allocates masks for them.
 """
 
 from __future__ import annotations
@@ -18,10 +22,47 @@ from repro.ir.function import Function
 from repro.ir.instr import Instr, Op
 from repro.ir.module import Module
 from repro.ir.temp import PhysReg, Temp
+from repro.ir.types import RegClass
+
+#: Exclusive bound on temporary ids.  An id is a liveness bit position
+#: (``1 << temp.id``), so this caps one mask at 128 KiB.
+MAX_TEMP_ID = 1 << 20
+
+#: Bound on a module's blocks x (highest temp id + 1), summed over its
+#: functions.  Liveness keeps live-in, live-out, gen and kill masks for
+#: every block, each as wide as the highest id, so this caps them at
+#: 8 MiB together (the largest shipped program, tomcatv, needs 10,593).
+MAX_MASK_BITS = 1 << 24
 
 
 class IRValidationError(ValueError):
     """Raised when an IR structural invariant does not hold."""
+
+
+def check_temp_numbering(fn: Function, mask_bits: int) -> int:
+    """Reject ``fn`` when its temporary ids cannot be liveness bits.
+
+    Refused: one id used by both classes (``t3`` and ``ft3`` would share
+    a bit; the printer never emits that, since ids come from one
+    counter), an id of :data:`MAX_TEMP_ID` or more, and a module whose
+    blocks x (highest id + 1) exceed :data:`MAX_MASK_BITS`.
+    ``mask_bits`` is that total over the module's functions checked so
+    far; the return value adds ``fn``'s share.  Raises
+    :class:`IRValidationError`.
+    """
+    class_of: dict[int, RegClass] = {}
+    for temp in fn.all_temps():
+        if temp.id >= MAX_TEMP_ID:
+            raise IRValidationError(f"temporary {temp} in {fn.name}: ids "
+                                    f"must be below {MAX_TEMP_ID}")
+        if class_of.setdefault(temp.id, temp.regclass) is not temp.regclass:
+            raise IRValidationError(f"t{temp.id} and ft{temp.id} in "
+                                    f"{fn.name} share one id")
+    mask_bits += len(fn.blocks) * (max(class_of, default=-1) + 1)
+    if mask_bits > MAX_MASK_BITS:
+        raise IRValidationError(f"blocks x (highest temporary id + 1) "
+                                f"exceeds {MAX_MASK_BITS}")
+    return mask_bits
 
 
 def _fail(fn: Function, where: str, message: str) -> None:

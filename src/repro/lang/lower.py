@@ -27,6 +27,7 @@ from repro.ir.instr import Instr, Op
 from repro.ir.module import Module
 from repro.ir.temp import Reg, Temp
 from repro.ir.types import RegClass
+from repro.ir.validate import check_temp_numbering
 from repro.lang import ast
 from repro.lang.parser import parse
 from repro.lang.sema import check
@@ -342,5 +343,12 @@ def lower(program: ast.Program,
 
 def compile_minic(source: str,
                   machine: MachineDescription | None = None) -> Module:
-    """Front door: parse, check, and lower minic source text."""
-    return lower(check(parse(source)), machine)
+    """Front door: parse, check, and lower minic source text.
+
+    The lowered module must pass the same temporary-numbering bound as
+    parsed IR (:func:`~repro.ir.validate.check_temp_numbering`)."""
+    module = lower(check(parse(source)), machine)
+    mask_bits = 0
+    for fn in module.functions.values():
+        mask_bits = check_temp_numbering(fn, mask_bits)
+    return module

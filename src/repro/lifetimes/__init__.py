@@ -3,19 +3,15 @@
 from repro.lifetimes.intervals import (
     Lifetime,
     LifetimeTable,
-    LinearOrder,
     Range,
     RangeSet,
     compute_lifetimes,
-    compute_linear_order,
 )
 
 __all__ = [
     "Lifetime",
     "LifetimeTable",
-    "LinearOrder",
     "Range",
     "RangeSet",
     "compute_lifetimes",
-    "compute_linear_order",
 ]

@@ -11,6 +11,11 @@ and a write point lets a def reuse a register freed by a dying use of the
 same instruction, and gives spill loads/stores the "point lifetimes" of
 Section 2.2 a natural home.
 
+A point is a position, not an instruction key: whoever needs the points
+of a block's instructions counts them from the block's start
+(``block_span``), so the numbering holds for any structural clone of the
+function.
+
 Lifetimes
 ---------
 
@@ -37,7 +42,6 @@ from repro.cfg.cfg import CFG
 from repro.cfg.loops import LoopInfo
 from repro.dataflow.liveness import LivenessInfo, compute_liveness
 from repro.ir.function import Function
-from repro.ir.instr import Instr
 from repro.ir.temp import PhysReg, Temp
 from repro.ir.types import RegClass
 from repro.target.machine import MachineDescription
@@ -319,51 +323,19 @@ class Lifetime:
 
 
 @dataclass(eq=False)
-class LinearOrder:
-    """The linear numbering of a function's instructions (Section 2.1).
-
-    Computed once per function and shared: the lifetime table embeds it,
-    and the analysis manager (:mod:`repro.pm`) caches and transfers it
-    across module clones (``pos`` is keyed by instruction identity, so a
-    clone needs the old-to-new instruction map to reuse it).
-
-    Attributes:
-        linear: Instructions in layout order.
-        pos: Instruction -> linear index (``use point = 2*pos``,
-            ``def point = 2*pos + 1``).
-        block_span: Block label -> (start point, end point), half-open.
-    """
-
-    linear: list[Instr]
-    pos: dict[Instr, int]
-    block_span: dict[str, tuple[int, int]]
-
-
-def compute_linear_order(fn: Function) -> LinearOrder:
-    """Number every instruction of ``fn`` in layout order."""
-    linear: list[Instr] = []
-    pos: dict[Instr, int] = {}
-    block_span: dict[str, tuple[int, int]] = {}
-    for block in fn.blocks:
-        first = len(linear)
-        for instr in block.instrs:
-            pos[instr] = len(linear)
-            linear.append(instr)
-        block_span[block.label] = (2 * first, 2 * len(linear))
-    return LinearOrder(linear, pos, block_span)
-
-
-@dataclass(eq=False)
 class LifetimeTable:
     """Everything the linear-scan allocators need about one function.
 
+    Nothing in the table refers to an instruction object: every entry is
+    a linear point, so the table stays valid for any structural clone of
+    the function it was computed on.
+
     Attributes:
-        fn: The analysed function.
         machine: The target (fixes the caller-saved clobber set).
-        linear: Instructions in linear order.
-        pos: Instruction -> linear index (``use point = 2*pos``,
-            ``def point = 2*pos + 1``).
-        block_span: Block label -> (start point, end point) half-open.
+        block_span: Block label -> (start point, end point) half-open;
+            instruction ``n`` of a block reads at ``start + 2*n`` and
+            writes at ``start + 2*n + 1``.
+        max_point: One past the last linear point of the function.
         temps: Lifetime per temporary (every temporary, including
             block-local ones).
         reserved: Reserved-range set per physical register (empty sets
@@ -373,32 +345,15 @@ class LifetimeTable:
         ref_depths: Parallel loop depths for each reference point.
     """
 
-    fn: Function
     machine: MachineDescription
-    linear: list[Instr]
-    pos: dict[Instr, int]
     block_span: dict[str, tuple[int, int]]
+    max_point: int
     temps: dict[Temp, Lifetime]
     reserved: dict[PhysReg, RangeSet]
     ref_points: dict[Temp, list[int]]
     ref_depths: dict[Temp, list[int]]
-    liveness: LivenessInfo
-    loops: LoopInfo
 
     _EMPTY = RangeSet()
-
-    @property
-    def max_point(self) -> int:
-        """One past the last linear point of the function."""
-        return 2 * len(self.linear)
-
-    def use_point(self, instr: Instr) -> int:
-        """The point at which ``instr`` reads its uses."""
-        return 2 * self.pos[instr]
-
-    def def_point(self, instr: Instr) -> int:
-        """The point at which ``instr`` writes its defs."""
-        return 2 * self.pos[instr] + 1
 
     def reserved_for(self, reg: PhysReg) -> RangeSet:
         """The convention-reserved ranges of ``reg`` (possibly empty)."""
@@ -426,11 +381,10 @@ class LifetimeTable:
 def compute_lifetimes(fn: Function, machine: MachineDescription,
                       cfg: CFG | None = None,
                       liveness: LivenessInfo | None = None,
-                      loops: LoopInfo | None = None,
-                      order: LinearOrder | None = None) -> LifetimeTable:
+                      loops: LoopInfo | None = None) -> LifetimeTable:
     """Build the :class:`LifetimeTable` with one reverse pass (Section 2.1).
 
-    ``cfg``/``liveness``/``loops``/``order`` may be passed in when already
+    ``cfg``/``liveness``/``loops`` may be passed in when already
     computed — the evaluation timings exclude these shared setup analyses,
     as the paper's Section 3.2 timings do, and the analysis manager
     (:mod:`repro.pm`) memoizes them per function.
@@ -438,14 +392,15 @@ def compute_lifetimes(fn: Function, machine: MachineDescription,
     cfg = cfg or CFG.build(fn)
     liveness = liveness or compute_liveness(fn, cfg)
     loops = loops or LoopInfo.build(cfg)
-    order = order or compute_linear_order(fn)
 
-    linear = order.linear
-    pos = order.pos
-    block_span = order.block_span
+    block_span: dict[str, tuple[int, int]] = {}
     depth_at: list[int] = []
+    max_point = 0
     for block in fn.blocks:
-        depth_at.extend([loops.depth_of(block.label)] * len(block.instrs))
+        n = len(block.instrs)
+        block_span[block.label] = (max_point, max_point + 2 * n)
+        max_point += 2 * n
+        depth_at.extend([loops.depth_of(block.label)] * n)
 
     raw_temp: dict[Temp, list[tuple[int, int]]] = {}
     raw_phys: dict[PhysReg, list[tuple[int, int]]] = {}
@@ -457,7 +412,7 @@ def compute_lifetimes(fn: Function, machine: MachineDescription,
 
     # Forward sweep: reference points (for the spill heuristic) and call
     # clobber reservations.
-    for i, instr in enumerate(linear):
+    for i, instr in enumerate(fn.instructions()):
         for u in instr.uses:
             if isinstance(u, Temp):
                 ref_points.setdefault(u, []).append(2 * i)
@@ -479,7 +434,7 @@ def compute_lifetimes(fn: Function, machine: MachineDescription,
             active[t] = bend
         for i in range(len(block.instrs) - 1, -1, -1):
             instr = block.instrs[i]
-            point = 2 * (pos[instr])
+            point = bstart + 2 * i
             for d in instr.defs:
                 end = active.pop(d, None)
                 raw = raw_temp if isinstance(d, Temp) else raw_phys
@@ -504,15 +459,11 @@ def compute_lifetimes(fn: Function, machine: MachineDescription,
              for t, ranges in raw_temp.items()}
     reserved = {r: RangeSet(ranges) for r, ranges in raw_phys.items()}
     return LifetimeTable(
-        fn=fn,
         machine=machine,
-        linear=linear,
-        pos=pos,
         block_span=block_span,
+        max_point=max_point,
         temps=temps,
         reserved=reserved,
         ref_points=ref_points,
         ref_depths=ref_depths,
-        liveness=liveness,
-        loops=loops,
     )

@@ -1,9 +1,9 @@
 """Typed per-function analyses behind a memoizing manager.
 
 The paper's methodology (Section 3) computes one set of setup analyses —
-CFG, liveness, loop info, linear order, lifetime table — and feeds it to
-every allocator, timing only the allocator cores.  Before this module the
-repo *stated* that discipline but recomputed the analyses ad hoc in every
+CFG, liveness, loop info, lifetime table — and feeds it to every
+allocator, timing only the allocator cores.  Before this module the repo
+*stated* that discipline but recomputed the analyses ad hoc in every
 layer; the :class:`AnalysisManager` makes it structural:
 
 * each analysis is a typed key (:class:`AnalysisKind`) with an explicit
@@ -14,11 +14,12 @@ layer; the :class:`AnalysisManager` makes it structural:
   :meth:`AnalysisManager.invalidate` (directly, or through the pass
   manager's preserved-analyses declarations in :mod:`repro.pm.passes`) —
   the cache never inspects code to guess staleness;
-* analyses *transfer* onto structural clones: :meth:`Function.clone`
-  records the old-to-new instruction map, and each kind knows how to
-  rebind its result to the clone (label- and temp-keyed results are
-  shared outright; instruction-keyed tables are remapped; the CFG gets
-  fresh adjacency lists because binpacking's resolution mutates them).
+* analyses *transfer* onto structural clones: a clone linked to the
+  function it was copied from is answered from the base's results.  No
+  analysis refers to an instruction object — linear points are positions
+  counted from each block's start — so every kind is shared outright,
+  except the CFG, which gets fresh adjacency lists bound to the clone
+  because binpacking's resolution mutates them.
 
 Cache traffic is published into the manager's metrics registry
 (``pm.analysis.computed[.<kind>]``, ``pm.analysis.hits``,
@@ -32,20 +33,21 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
+from repro.allocators.base import SharedAnalyses
 from repro.cfg.cfg import CFG
 from repro.cfg.loops import LoopInfo
 from repro.dataflow.liveness import LivenessInfo, compute_liveness
 from repro.ir.function import Function
-from repro.ir.instr import Instr
-from repro.lifetimes.intervals import (LifetimeTable, LinearOrder,
-                                       compute_lifetimes,
-                                       compute_linear_order)
+from repro.lifetimes.intervals import LifetimeTable, compute_lifetimes
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import PhaseProfiler
 from repro.target.machine import MachineDescription
 
-#: The old-instruction -> new-instruction correspondence a clone records.
-InstrMap = dict[Instr, Instr]
+
+def _share(value: Any, fn: Function) -> Any:
+    """Transfer for label-, temp- and point-keyed results: valid for any
+    clone as-is."""
+    return value
 
 
 @dataclass(frozen=True)
@@ -56,9 +58,10 @@ class AnalysisKind:
         name: Stable key (also the metrics/profile suffix).
         compute: ``(manager, fn) -> result``; pulls dependencies through
             the manager so they are cached too.
-        transfer: ``(result, clone_fn, instr_map) -> result`` rebinding a
-            cached result onto a structural clone of the analysed
-            function.  Must be equivalent to recomputing on the clone.
+        transfer: ``(result, clone_fn) -> result`` rebinding a cached
+            result onto a structural clone of the analysed function.
+            Must be equivalent to recomputing on the clone; by default
+            the result is shared as-is.
         requires: Kinds this one reads through the manager (documentation
             and invalidation-audit aid; ``compute`` does the actual
             pulling).
@@ -66,51 +69,18 @@ class AnalysisKind:
 
     name: str
     compute: Callable[["AnalysisManager", Function], Any]
-    transfer: Callable[[Any, Function, InstrMap], Any]
+    transfer: Callable[[Any, Function], Any] = _share
     requires: tuple[str, ...] = ()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"AnalysisKind({self.name})"
 
 
-def _share(value: Any, fn: Function, instr_map: InstrMap) -> Any:
-    """Transfer for label-/temp-keyed results: valid for any clone as-is."""
-    return value
-
-
-def _transfer_cfg(value: CFG, fn: Function, instr_map: InstrMap) -> CFG:
+def _transfer_cfg(value: CFG, fn: Function) -> CFG:
     # Fresh adjacency lists: resolution's ``split_edge`` mutates them.
     return CFG(fn=fn,
                succs={label: list(s) for label, s in value.succs.items()},
                preds={label: list(p) for label, p in value.preds.items()})
-
-
-def _transfer_order(value: LinearOrder, fn: Function,
-                    instr_map: InstrMap) -> LinearOrder:
-    return LinearOrder(
-        linear=[instr_map[i] for i in value.linear],
-        pos={instr_map[i]: p for i, p in value.pos.items()},
-        block_span=dict(value.block_span))
-
-
-def _transfer_lifetimes(value: LifetimeTable, fn: Function,
-                        instr_map: InstrMap) -> LifetimeTable:
-    # Lifetime/range data is keyed by temporaries and physical registers
-    # (immutable values shared with the clone) and is read-only to the
-    # allocators, so it is shared; only instruction-keyed structures are
-    # remapped and the function reference rebound.
-    return LifetimeTable(
-        fn=fn,
-        machine=value.machine,
-        linear=[instr_map[i] for i in value.linear],
-        pos={instr_map[i]: p for i, p in value.pos.items()},
-        block_span=dict(value.block_span),
-        temps=value.temps,
-        reserved=value.reserved,
-        ref_points=value.ref_points,
-        ref_depths=value.ref_depths,
-        liveness=value.liveness,
-        loops=value.loops)
 
 
 CFG_ANALYSIS = AnalysisKind(
@@ -121,19 +91,12 @@ CFG_ANALYSIS = AnalysisKind(
 LIVENESS_ANALYSIS = AnalysisKind(
     "liveness",
     compute=lambda am, fn: compute_liveness(fn, am.get(CFG_ANALYSIS, fn)),
-    transfer=_share,
     requires=("cfg",))
 
 LOOPS_ANALYSIS = AnalysisKind(
     "loops",
     compute=lambda am, fn: LoopInfo.build(am.get(CFG_ANALYSIS, fn)),
-    transfer=_share,
     requires=("cfg",))
-
-LINEAR_ORDER_ANALYSIS = AnalysisKind(
-    "linear",
-    compute=lambda am, fn: compute_linear_order(fn),
-    transfer=_transfer_order)
 
 LIFETIMES_ANALYSIS = AnalysisKind(
     "lifetimes",
@@ -141,17 +104,15 @@ LIFETIMES_ANALYSIS = AnalysisKind(
         fn, am.machine,
         cfg=am.get(CFG_ANALYSIS, fn),
         liveness=am.get(LIVENESS_ANALYSIS, fn),
-        loops=am.get(LOOPS_ANALYSIS, fn),
-        order=am.get(LINEAR_ORDER_ANALYSIS, fn)),
-    transfer=_transfer_lifetimes,
-    requires=("cfg", "liveness", "loops", "linear"))
+        loops=am.get(LOOPS_ANALYSIS, fn)),
+    requires=("cfg", "liveness", "loops"))
 
 #: Every registered kind, by name (the pass manager's preserve sets are
 #: validated against this).
 ALL_ANALYSES: dict[str, AnalysisKind] = {
     kind.name: kind
     for kind in (CFG_ANALYSIS, LIVENESS_ANALYSIS, LOOPS_ANALYSIS,
-                 LINEAR_ORDER_ANALYSIS, LIFETIMES_ANALYSIS)
+                 LIFETIMES_ANALYSIS)
 }
 
 #: Convenience preserve-set: the pass guarantees every cached analysis is
@@ -183,8 +144,7 @@ class AnalysisManager:
     metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
     profiler: PhaseProfiler | None = None
     _cache: dict[Function, dict[str, Any]] = field(default_factory=dict)
-    _origins: dict[Function, tuple[Function, InstrMap]] = field(
-        default_factory=dict)
+    _origins: dict[Function, Function] = field(default_factory=dict)
 
     # ------------------------------------------------------------------
     # Queries.
@@ -202,11 +162,9 @@ class AnalysisManager:
         if per_fn is not None and kind.name in per_fn:
             self.metrics.bump("pm.analysis.hits")
             return per_fn[kind.name]
-        origin = self._origins.get(fn)
-        if origin is not None:
-            base_fn, instr_map = origin
-            value = kind.transfer(self.get(kind, base_fn, profiler),
-                                  fn, instr_map)
+        base_fn = self._origins.get(fn)
+        if base_fn is not None:
+            value = kind.transfer(self.get(kind, base_fn, profiler), fn)
             self.metrics.bump("pm.analysis.transfers")
         else:
             prof = profiler or self.profiler
@@ -238,22 +196,26 @@ class AnalysisManager:
               profiler: PhaseProfiler | None = None) -> LoopInfo:
         return self.get(LOOPS_ANALYSIS, fn, profiler)
 
-    def linear(self, fn: Function,
-               profiler: PhaseProfiler | None = None) -> LinearOrder:
-        return self.get(LINEAR_ORDER_ANALYSIS, fn, profiler)
-
     def lifetimes(self, fn: Function,
                   profiler: PhaseProfiler | None = None) -> LifetimeTable:
         return self.get(LIFETIMES_ANALYSIS, fn, profiler)
 
+    def shared(self, fn: Function,
+               profiler: PhaseProfiler | None = None) -> SharedAnalyses:
+        """The bundle every allocator receives for ``fn`` — the paper's
+        setup common to all allocators (Section 3.2)."""
+        return SharedAnalyses(cfg=self.cfg(fn, profiler),
+                              liveness=self.liveness(fn, profiler),
+                              loops=self.loops(fn, profiler),
+                              lifetimes=self.lifetimes(fn, profiler))
+
     # ------------------------------------------------------------------
     # Clone links.
     # ------------------------------------------------------------------
-    def link_clone(self, base: Function, clone: Function,
-                   instr_map: InstrMap) -> None:
+    def link_clone(self, base: Function, clone: Function) -> None:
         """Declare ``clone`` a fresh structural copy of ``base`` so its
         analyses are answered by transfer instead of recomputation."""
-        self._origins[clone] = (base, instr_map)
+        self._origins[clone] = base
 
     # ------------------------------------------------------------------
     # Invalidation.

@@ -21,8 +21,8 @@ Preservation claims recorded here, with their justifications:
   preserved would still be wrong, so they don't.
 * the verifiers preserve *everything*: they never mutate.
 
-Nothing preserves ``linear`` or ``lifetimes`` across a change — both are
-instruction-keyed, and all of these passes insert or delete
+Nothing preserves ``lifetimes`` across a change: its points are
+instruction positions, and all of these passes insert or delete
 instructions.
 """
 

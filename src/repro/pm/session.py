@@ -5,8 +5,9 @@ owns the pre-allocation module, the DCE'd form of it, and every setup
 analysis.  Each :meth:`run` then costs one structural
 :meth:`~repro.ir.module.Module.clone` (no ``copy.deepcopy``) plus the
 allocator core — the shared analyses are computed at most once per
-function per session and *transferred* onto each run's clone through the
-clone's instruction map (see :mod:`repro.pm.analysis`).
+function per session and *transferred* onto each run's clone, which the
+session links to the function it was copied from (see
+:mod:`repro.pm.analysis`).
 
 This is the paper's Section 3.2 methodology made load-bearing: Table 3
 times "only the core parts of the allocators ... after setup activities
@@ -116,26 +117,10 @@ class CompilationSession:
         all go through here."""
         if base is None:
             base = self.module
-        instr_map: dict = {}
-        working = base.clone(instr_map)
+        working = base.clone()
         for name, fn in working.functions.items():
-            self.analyses.link_clone(base.functions[name], fn, instr_map)
+            self.analyses.link_clone(base.functions[name], fn)
         return working
-
-    # ------------------------------------------------------------------
-    # Allocator access to the cache.
-    # ------------------------------------------------------------------
-    def shared(self, fn, profiler: PhaseProfiler | None = None):
-        """The :class:`~repro.allocators.base.SharedAnalyses` for ``fn``,
-        served from the session cache (``allocate_module`` calls this in
-        place of ``SharedAnalyses.build`` when given a session)."""
-        from repro.allocators.base import SharedAnalyses
-
-        return SharedAnalyses(
-            cfg=self.analyses.cfg(fn, profiler),
-            liveness=self.analyses.liveness(fn, profiler),
-            loops=self.analyses.loops(fn, profiler),
-            lifetimes=self.analyses.lifetimes(fn, profiler))
 
     # ------------------------------------------------------------------
     # One full pipeline run.

@@ -261,7 +261,7 @@ def _execute_timing(key: CellKey, module, machine) -> dict:
     cold = PhaseProfiler()
     with cold.phase("setup"):
         for fn in session.module.functions.values():
-            session.shared(fn, profiler=cold)
+            session.analyses.shared(fn, profiler=cold)
     samples, setup_samples = [], []
     for _ in range(max(1, key.reps)):
         working = session.clone_base()

@@ -126,6 +126,37 @@ class TestDominators:
             assert tree.dominates(node, node)
             assert tree.dominates("a", node)
 
+    @pytest.mark.parametrize("edges", [DIAMOND, LOOP, NESTED])
+    def test_dominates_agrees_with_the_idom_chain(self, edges):
+        cfg = CFG.build(build_fn(edges))
+        tree = DominatorTree.build(cfg)
+        for a in cfg.reachable():
+            for b in cfg.reachable():
+                assert tree.dominates(a, b) == (a in tree.dominators_of(b))
+
+    def test_forward_edge_query_never_reads_idom(self):
+        """Loop detection asks ``dominates(head, tail)`` of every edge; on
+        a forward edge the RPO order alone must answer, or a chain of
+        blocks costs quadratic time."""
+        cfg = CFG.build(build_fn(NESTED))
+        tree = DominatorTree.build(cfg)
+
+        class Unreadable(dict):
+            def __getitem__(self, key):
+                raise AssertionError(f"idom read for {key!r}")
+
+            def get(self, key, default=None):
+                raise AssertionError(f"idom read for {key!r}")
+
+        guarded = DominatorTree(Unreadable(tree.idom), tree.entry,
+                                tree._rpo_index)
+        rpo = tree._rpo_index
+        forward = [(tail, head) for tail, head in cfg.edges()
+                   if rpo[head] > rpo[tail]]
+        assert forward
+        for tail, head in forward:
+            assert not guarded.dominates(head, tail)
+
     def test_dominators_of_chain(self):
         cfg = CFG.build(build_fn(NESTED))
         tree = DominatorTree.build(cfg)

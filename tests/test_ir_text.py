@@ -6,11 +6,12 @@ from repro.ir.builder import FunctionBuilder
 from repro.ir.function import Function
 from repro.ir.instr import Instr, Op, SpillPhase, make
 from repro.ir.module import Module
-from repro.ir.parser import (MAX_MASK_BITS, MAX_TEMP_ID, IRParseError,
-                             parse_function, parse_module, parse_reg)
+from repro.ir.parser import (IRParseError, parse_function, parse_module,
+                             parse_reg)
 from repro.ir.printer import print_function, print_instr, print_module
 from repro.ir.temp import PhysReg, StackSlot, Temp
 from repro.ir.types import RegClass
+from repro.ir.validate import MAX_MASK_BITS, MAX_TEMP_ID
 from repro.pm.batch import allocation_artifact
 
 G = RegClass.GPR
@@ -205,6 +206,12 @@ class TestParseErrors:
         artifact = allocation_artifact(
             {"ir": text, "machine": "alpha", "allocator": "second-chance"})
         assert artifact["error"]["code"] == "parse-error"
+
+    def test_duplicate_label_reports_its_line(self):
+        with pytest.raises(IRParseError,
+                           match="line 4: duplicate block label 'b'") as info:
+            parse_module("func f() {\nb:\n  jmp b\nb:\n  ret\n}")
+        assert info.value.lineno == 4
 
     def test_comments_and_blank_lines_ignored(self):
         fn = parse_function(

@@ -7,7 +7,8 @@ from repro.lang.lexer import LexError
 from repro.lang.lower import LoweringError
 from repro.lang.parser import ParseError
 from repro.lang.sema import SemaError, check
-from repro.ir.validate import validate_module
+from repro.ir.validate import IRValidationError, validate_module
+from repro.pm.batch import allocation_artifact
 from repro.sim import simulate
 from repro.target import tiny
 
@@ -240,3 +241,21 @@ class TestExecution:
                "func int main() { return f(1, 2, 3); }")
         with pytest.raises(LoweringError, match="parameters"):
             compile_minic(src, tiny(8, 8))  # tiny has 2 param regs
+
+
+class TestTempNumberingBound:
+    """The minic door honours the same liveness-mask bound as parsed IR:
+    every block keeps masks as wide as the highest temporary id."""
+
+    def test_over_bound_module_is_refused(self):
+        # 3,000 locals (a temp id each), then y live through 1,500
+        # branches (two blocks each): blocks x ids is over 2**24.
+        decls = "".join(f"int a{i} = {i};\n" for i in range(3000))
+        body = "if (y > 0) { y = y + 1; }\n" * 1500
+        source = (f"func int main() {{\n{decls}int y = 1;\n{body}"
+                  "print y;\nreturn 0;\n}\n")
+        with pytest.raises(IRValidationError, match="exceeds"):
+            compile_minic(source)
+        artifact = allocation_artifact(
+            {"minic": source, "machine": "alpha", "allocator": "coloring"})
+        assert artifact["error"]["code"] == "parse-error"

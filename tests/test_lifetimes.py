@@ -170,9 +170,9 @@ class TestNumbering:
         fn = figure1_function()
         table = compute_lifetimes(fn, tiny())
         assert table.max_point == 2 * fn.instruction_count()
-        first = fn.entry.instrs[0]
-        assert table.use_point(first) == 0
-        assert table.def_point(first) == 1
+        for block in fn.blocks:
+            start, end = table.block_span[block.label]
+            assert end - start == 2 * len(block.instrs)
 
     def test_block_spans_partition_the_function(self):
         fn = figure1_function()
@@ -238,8 +238,10 @@ class TestReservations:
         b.call("g")
         b.ret()
         table = compute_lifetimes(fn, mach)
-        call_instr = fn.entry.instrs[0]
-        window = (table.use_point(call_instr), table.use_point(call_instr) + 2)
+        # The call is the entry's first instruction: points 0 (read)
+        # and 1 (write).
+        start = table.block_span["entry"][0]
+        window = (start, start + 2)
         for reg in mach.caller_saved(G):
             assert table.reserved_for(reg).overlaps_interval(*window)
         for reg in mach.callee_saved(G):

@@ -9,6 +9,7 @@ from repro.ir.printer import print_module
 from repro.ir.temp import StackSlot, Temp
 from repro.ir.types import RegClass
 from repro.lang import compile_minic
+from repro.pm.analysis import AnalysisManager
 from repro.pm.session import CompilationSession
 from repro.sim import simulate
 from repro.stats.report import format_table
@@ -84,10 +85,8 @@ class TestSpillSlots:
 class TestEvictionPriority:
     def test_farther_reference_means_lower_priority(self, tiny_machine):
         module = compile_minic(SRC, tiny_machine)
-        from repro.allocators.base import SharedAnalyses
         fn = module.functions["main"]
-        shared = SharedAnalyses.build(fn, tiny_machine)
-        table = shared.lifetimes
+        table = AnalysisManager(tiny_machine).lifetimes(fn)
         temps = [t for t in table.temps if table.ref_points[t]]
         t = temps[0]
         first_ref = table.ref_points[t][0]

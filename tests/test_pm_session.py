@@ -69,7 +69,7 @@ class TestAnalyzeOnce:
         metrics = session.metrics
         # The DCE'd base plus four run clones — yet each shared analysis
         # was computed exactly once per function, on the base.
-        for kind in ("cfg", "loops", "linear", "lifetimes"):
+        for kind in ("cfg", "loops", "lifetimes"):
             assert metrics.get(f"pm.analysis.computed.{kind}") == n_fns, kind
         # Liveness additionally runs once per DCE round; the allocators
         # themselves never trigger a recomputation.
@@ -165,16 +165,15 @@ class TestInvalidation:
         am = session.analyses
         base, _, _ = two_block_function()
         am.cfg(base)
-        instr_map: dict = {}
-        clone = base.clone(instr_map)
-        am.link_clone(base, clone, instr_map)
+        clone = base.clone()
+        am.link_clone(base, clone)
         transfers_before = session.metrics.get("pm.analysis.transfers")
         assert am.cfg(clone).fn is clone  # served by transfer
         assert session.metrics.get("pm.analysis.transfers") \
             == transfers_before + 1
         # The clone mutates (as allocators do): a fresh block appears.
         clone.block("entry").instrs[-1].targets[0] = "mid"
-        clone.blocks.insert(1, BasicBlock("mid", [
+        clone.insert_block(1, BasicBlock("mid", [
             Instr(Op.JMP, targets=["exit"])]))
         am.invalidate(clone)
         recomputed = am.cfg(clone)
@@ -182,6 +181,23 @@ class TestInvalidation:
         assert set(recomputed.succs) == {"entry", "mid", "exit"}
         assert session.metrics.get("pm.analysis.transfers") \
             == transfers_before + 1
+
+    def test_linked_clone_shares_lifetimes_and_gets_its_own_cfg(self):
+        session, _ = session_over()
+        am = session.analyses
+        base = session.module.function("main")
+        clone = base.clone()
+        am.link_clone(base, clone)
+        # Lifetimes hold linear points, not instructions: valid as-is.
+        assert am.lifetimes(clone) is am.lifetimes(base)
+        # The CFG is bound to its function, and resolution's split_edge
+        # mutates its adjacency lists, so the clone gets fresh ones.
+        base_cfg, cfg = am.cfg(base), am.cfg(clone)
+        assert cfg is not base_cfg and cfg.fn is clone
+        assert cfg.succs == base_cfg.succs and cfg.preds == base_cfg.preds
+        for label in cfg.succs:
+            assert cfg.succs[label] is not base_cfg.succs[label]
+            assert cfg.preds[label] is not base_cfg.preds[label]
 
     def test_invalidate_preserve_keeps_named_analyses(self):
         session, _ = session_over()

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.allocators.base import AllocationStats, SharedAnalyses, SpillSlots
+from repro.allocators.base import AllocationStats, SpillSlots
 from repro.allocators.binpack.resolution import (_place_batch, edge_traffic,
                                                  sequentialize_moves)
 from repro.allocators.binpack.state import MEM, BlockRecord
@@ -21,6 +21,7 @@ from repro.ir.function import Function
 from repro.ir.instr import Instr, Op
 from repro.ir.temp import PhysReg, Temp
 from repro.ir.types import RegClass
+from repro.pm.analysis import AnalysisManager
 from repro.spill import DEFAULT_CONTEXT, SpillCodeEmitter
 from repro.target import tiny
 
@@ -194,7 +195,7 @@ def _diamond():
     b.jmp("join")
     b.new_block("join")
     b.ret()
-    shared = SharedAnalyses.build(fn, tiny(4, 4))
+    shared = AnalysisManager(tiny(4, 4)).shared(fn)
     return fn, shared
 
 

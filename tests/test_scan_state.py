@@ -2,12 +2,12 @@
 
 import pytest
 
-from repro.allocators.base import SharedAnalyses
 from repro.allocators.binpack.state import MEM, BlockRecord, ScanState
 from repro.ir.builder import FunctionBuilder
 from repro.ir.function import Function
 from repro.ir.temp import PhysReg, Temp
 from repro.ir.types import RegClass
+from repro.pm.analysis import AnalysisManager
 from repro.target import tiny
 
 G = RegClass.GPR
@@ -24,7 +24,7 @@ def make_state():
     y = b.addi(x, 1)     # y is block-local
     b.print_(y)
     b.ret()
-    shared = SharedAnalyses.build(fn, tiny())
+    shared = AnalysisManager(tiny()).shared(fn)
     state = ScanState(shared.lifetimes, shared.liveness, shared.cfg)
     return state, x, y
 
