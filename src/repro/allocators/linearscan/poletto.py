@@ -15,155 +15,71 @@ register whose reserved ranges intersect the interval — which also means
 an interval crossing a call can only take a callee-saved register, the
 same structural handicap the two-pass baseline has.
 
-Memory-resident references get scratch registers with the same restart
-discipline as two-pass binpacking: when no register is free at a point,
-the lowest-priority assigned interval covering that point is demoted to
-memory and the decision re-runs.
+Only the home choice lives here: :meth:`PolettoLinearScan.sweep` fixes
+every home before the shared walk of
+:class:`~repro.allocators.wholelife.WholeLifetimeAllocator`, which gives
+memory-resident references their scratch registers and, when a point has
+none free, demotes the lowest-priority home covering it and re-sweeps.
+The sweep holds one active interval per register, so a register fits
+when it has no holder and no reservation over the interval.
 """
 
 from __future__ import annotations
 
-from repro.allocators.base import (
-    AllocationError,
-    AllocationStats,
-    RegisterAllocator,
-    SharedAnalyses,
-    eviction_priority,
-)
-from repro.allocators.wholelife import rewrite_whole_lifetime
-from repro.ir.function import Function
-from repro.ir.instr import Instr
+from bisect import insort
+
+from repro.allocators.wholelife import Homes, WholeLifetimeAllocator
 from repro.ir.temp import PhysReg, Temp
-from repro.lifetimes.intervals import LifetimeTable
+from repro.lifetimes.intervals import LifetimeTable, RangeSet
 from repro.spill.emitter import SpillCodeEmitter
-from repro.target.machine import MachineDescription
 
 
-class PolettoLinearScan(RegisterAllocator):
+class PolettoLinearScan(WholeLifetimeAllocator):
     """Sorted-interval linear scan without holes or lifetime splitting."""
+
+    metrics_prefix = "linearscan"
 
     def __init__(self) -> None:
         self.name = "poletto linear scan"
 
-    def allocate_function(self, fn: Function, machine: MachineDescription,
-                          shared: SharedAnalyses, emitter: SpillCodeEmitter,
-                          stats: AllocationStats) -> None:
-        table = shared.lifetimes
-        # Forced-evict stress pre-seeds memory residents; empty by default.
-        forced_memory: set[Temp] = emitter.forced_memory(
-            t for t in table.temps if isinstance(t, Temp))
-        restarts = 0
-        while True:
-            assignment = self._scan_intervals(table, emitter, forced_memory)
-            scratch, victim = self._assign_scratches(fn, table, emitter,
-                                                     assignment)
-            if victim is None:
-                break
-            forced_memory.add(victim)
-            restarts += 1
-        stats.metrics.bump("linearscan.restarts", restarts)
-        stats.metrics.bump("linearscan.memory_resident", len(forced_memory))
-        rewrite_whole_lifetime(fn, emitter, stats, assignment, scratch)
-
-    # ------------------------------------------------------------------
-    # Interval sweep.
-    # ------------------------------------------------------------------
-    def _interval(self, table: LifetimeTable, temp: Temp) -> tuple[int, int]:
+    def span(self, table: LifetimeTable, temp: Temp) -> RangeSet:
+        """The flat interval ``[start, end)``: holes are ignored."""
         lifetime = table.temps[temp]
-        return lifetime.start, lifetime.end
+        return RangeSet([(lifetime.start, lifetime.end)])
 
-    def _scan_intervals(self, table: LifetimeTable,
-                        emitter: SpillCodeEmitter,
-                        forced_memory: set[Temp]) -> dict[Temp, PhysReg]:
-        order = sorted((t for t in table.temps if isinstance(t, Temp)),
-                       key=lambda t: (self._interval(table, t)[0], t.id))
-        assignment: dict[Temp, PhysReg] = {}
+    def sweep(self, table: LifetimeTable, emitter: SpillCodeEmitter,
+              demoted: set[Temp]) -> Homes:
+        def end_of(temp: Temp) -> int:
+            return table.temps[temp].end
+
+        order = sorted((t for t in table.temps
+                        if isinstance(t, Temp) and t not in demoted),
+                       key=lambda t: (table.temps[t].start, t.id))
+        homes: Homes = {}
         active: list[Temp] = []  # kept sorted by interval end
-
-        def register_fits(reg: PhysReg, start: int, end: int) -> bool:
-            if table.reserved_for(reg).overlaps_interval(start, end):
-                return False
-            return all(assignment[a] != reg for a in active)
-
+        holder: dict[PhysReg, Temp] = {}  # register -> its active interval
         for temp in order:
-            if temp in forced_memory:
-                continue
-            start, end = self._interval(table, temp)
-            active = [a for a in active if self._interval(table, a)[1] > start]
+            start, end = table.temps[temp].start, end_of(temp)
+            while active and end_of(active[0]) <= start:
+                del holder[homes[active.pop(0)]]
             regs = emitter.register_order(temp.regclass,
                                           prefer_caller_saved=True)
-            chosen = next((r for r in regs if register_fits(r, start, end)),
-                          None)
-            if chosen is not None:
-                assignment[temp] = chosen
-                active.append(temp)
-                active.sort(key=lambda t: self._interval(table, t)[1])
-                continue
-            # Pressure: spill the furthest-ending compatible active
-            # interval, or this one.
-            candidates = [a for a in active
-                          if a.regclass is temp.regclass
-                          and not table.reserved_for(assignment[a])
-                          .overlaps_interval(start, end)]
-            victim = max(candidates,
-                         key=lambda t: self._interval(table, t)[1],
-                         default=None)
-            if victim is not None and self._interval(table, victim)[1] > end:
-                assignment[temp] = assignment.pop(victim)
+            reg = next((r for r in regs if r not in holder
+                        and not table.reserved_for(r)
+                        .overlaps_interval(start, end)), None)
+            if reg is None:
+                # Pressure: spill the furthest-ending compatible active
+                # interval, or this one.
+                victim = max((a for a in active
+                              if a.regclass is temp.regclass
+                              and not table.reserved_for(homes[a])
+                              .overlaps_interval(start, end)),
+                             key=end_of, default=None)
+                if victim is None or end_of(victim) <= end:
+                    continue  # temp itself stays memory-resident
+                reg = homes.pop(victim)
                 active.remove(victim)
-                active.append(temp)
-                active.sort(key=lambda t: self._interval(table, t)[1])
-            # else: temp itself stays memory-resident.
-        return assignment
-
-    # ------------------------------------------------------------------
-    # Point lifetimes for memory residents.
-    # ------------------------------------------------------------------
-    def _assign_scratches(self, fn: Function, table: LifetimeTable,
-                          emitter: SpillCodeEmitter,
-                          assignment: dict[Temp, PhysReg],
-                          ) -> tuple[dict[tuple[Instr, Temp], PhysReg],
-                                     Temp | None]:
-        scratch: dict[tuple[Instr, Temp], PhysReg] = {}
-        assigned_spans = {t: self._interval(table, t) for t in assignment}
-
-        def busy(reg: PhysReg, start: int, end: int) -> bool:
-            if table.reserved_for(reg).overlaps_interval(start, end):
-                return True
-            return any(r == reg and s < end and start < e
-                       for t, r in assignment.items()
-                       for s, e in (assigned_spans[t],))
-
-        for n, instr in enumerate(fn.instructions()):
-            start = 2 * n
-            end = start + 2
-            locked: set[PhysReg] = {r for r in instr.regs()
-                                    if isinstance(r, PhysReg)}
-            locked |= {assignment[t] for t in instr.temps() if t in assignment}
-            for temp in instr.temps():
-                if temp in assignment or (instr, temp) in scratch:
-                    continue
-                regs = emitter.register_order(temp.regclass,
-                                              prefer_caller_saved=True)
-                chosen = next((r for r in regs
-                               if r not in locked and not busy(r, start, end)),
-                              None)
-                if chosen is None:
-                    victim = self._pick_victim(table, assignment, temp, start)
-                    return scratch, victim
-                scratch[(instr, temp)] = chosen
-                locked.add(chosen)
-        return scratch, None
-
-    def _pick_victim(self, table: LifetimeTable,
-                     assignment: dict[Temp, PhysReg], temp: Temp,
-                     point: int) -> Temp:
-        candidates = [t for t in assignment
-                      if t.regclass is temp.regclass
-                      and self._interval(table, t)[0] <= point
-                      < self._interval(table, t)[1]]
-        if not candidates:
-            raise AllocationError(
-                f"poletto: no scratch register for {temp} at point {point} "
-                f"and nothing to demote (file too small)")
-        return min(candidates, key=lambda t: eviction_priority(table, t, point))
+            homes[temp] = reg
+            holder[reg] = temp
+            insort(active, temp, key=end_of)
+        return homes

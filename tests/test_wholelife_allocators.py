@@ -1,12 +1,17 @@
 """Two-pass binpacking and Poletto linear scan behaviour tests."""
 
+import random
+
 import pytest
 
 from repro.allocators import PolettoLinearScan, SecondChanceBinpacking, TwoPassBinpacking
+from repro.fuzz.generate import program_for_seed
+from repro.fuzz.harness import CONFIG_GRID, check_config, reference_outcome
 from repro.ir.builder import FunctionBuilder
 from repro.ir.function import Function
 from repro.ir.instr import Instr, Op, SpillPhase
 from repro.ir.module import Module
+from repro.ir.parser import parse_module
 from repro.ir.types import RegClass
 from repro.pm.session import CompilationSession
 from repro.sim import simulate
@@ -167,3 +172,114 @@ class TestPoletto:
         module.add_function(fn)
         result = CompilationSession(module, machine).run(PolettoLinearScan())
         assert simulate(result.module, machine).output == [10, 999]
+
+
+#: Valid IR whose layout puts a use before its def in linear order: ``t5``
+#: is defined in ``L2`` but read in ``L1``, which is laid out first, so
+#: ``t5`` is live from the top of ``L1`` though its first reference sits
+#: at the bottom of it.
+USE_BEFORE_DEF_IR = """
+func main() {
+entry:
+  li t20, 2
+  li t21, 3
+  li t22, 4
+  li t1, 5
+  jmp L2
+L1:
+  add t9, t1, t1
+  add t9, t9, t20
+  add t9, t9, t21
+  add t9, t9, t22
+  add t9, t9, t5
+  print t9
+  ret
+L2:
+  li t5, 7
+  jmp L1
+}
+"""
+
+ALLOCATOR_CONFIGS = tuple(c for c in CONFIG_GRID
+                          if c.name in ("sc-default", "two-pass", "coloring",
+                                        "poletto"))
+
+
+class TestLayout:
+    @pytest.mark.parametrize("config", ALLOCATOR_CONFIGS,
+                             ids=lambda c: c.allocator)
+    def test_use_before_def_in_linear_order(self, config):
+        """A scratch register is occupied like a home: ``t20``'s reload
+        takes a register at the top of ``L1``, so ``t5``, decided later
+        but live there, must not take the same one."""
+        machine = tiny(4, 4)
+        module = parse_module(USE_BEFORE_DEF_IR)
+        result = CompilationSession(module, machine).run(
+            config.make(), verify_dataflow=True)
+        assert simulate(result.module, machine).output == [26]
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_scrambled_block_layout(self, seed):
+        """The generator lays blocks out so that defs mostly precede uses;
+        shuffled layouts reach the first-reference paths it never does."""
+        program = program_for_seed(seed)
+        rng = random.Random(seed)
+        for fn in program.module.functions.values():
+            rest = fn.blocks[1:]
+            rng.shuffle(rest)
+            fn.blocks[1:] = rest
+        ref = reference_outcome(program.module, program.machine)
+        assert ref is not None
+        for config in ALLOCATOR_CONFIGS:
+            found = check_config(program.module, program.machine, config, ref)
+            assert found is None, (config.name, found)
+
+
+class _RecordingTwoPass(TwoPassBinpacking):
+    """Two-pass that remembers the demoted set of its last round."""
+
+    def sweep(self, table, emitter, demoted):
+        self.demoted = set(demoted)
+        return super().sweep(table, emitter, demoted)
+
+
+def test_victim_tie_demotes_the_home_decided_first():
+    """``a`` and ``b`` tie on priority where ``m`` finds no scratch
+    register.  ``a`` was decided first, though ``b`` sits in the register
+    that was committed first (it reuses ``x``'s), so ``a`` is demoted."""
+    machine = tiny(4, 4)
+    module = Module()
+    fn = Function("main")
+    b = FunctionBuilder(fn)
+    b.new_block("entry")
+    x = b.li(9)
+    a = b.li(1)
+    b.print_(x)
+    t_b = b.li(2)
+    c = b.li(3)
+    d = b.li(4)
+    m = b.li(5)
+    e = b.add(c, d)            # c and d are read first ...
+    f = b.add(a, t_b)          # ... a and b next, at the same point
+    b.print_(b.add(b.add(e, f), m))
+    b.ret()
+    module.add_function(fn)
+    allocator = _RecordingTwoPass()
+    result = CompilationSession(module, machine).run(allocator,
+                                                     verify_dataflow=True)
+    assert allocator.demoted == {a}
+    assert simulate(result.module, machine).output == [9, 15]
+
+
+@pytest.mark.parametrize("allocator, prefix", [
+    (PolettoLinearScan, "linearscan"), (TwoPassBinpacking, "twopass")])
+def test_memory_resident_counts_every_candidate_without_a_home(allocator,
+                                                               prefix):
+    """Each homeless candidate gets a memory slot, whether a restart
+    demoted it or the home rule found no register for it."""
+    machine = tiny(4, 4)
+    module = call_loop_module(machine, 7)
+    result = CompilationSession(module, machine).run(allocator())
+    metrics = result.stats.metrics.snapshot()
+    assert metrics[f"{prefix}.memory_resident"] > metrics[f"{prefix}.restarts"]
+    assert metrics[f"{prefix}.memory_resident"] == metrics["alloc.spilled_temps"]
