@@ -29,6 +29,12 @@ registers whose hole contains the temporary's remaining lifetime, the
 hole (Section 2.5, which is what lets temporaries live across calls in
 caller-saved registers temporarily); otherwise evict the occupant with
 the lowest priority (distance to next reference, weighted by loop depth).
+Each search reads a register file: per register class, every register's
+claimants (:class:`~repro.allocators.binpack.state.ScanState`) and
+reserved ranges (:class:`~repro.lifetimes.intervals.LifetimeTable`) in
+lists indexed by register.  A temporary leaves its register once, when
+the scan passes the end of its lifetime at an instruction's read or
+write point, so no query has to skip finished occupants.
 
 The scan's linear view of control flow is reconciled with the real CFG
 afterwards by :mod:`repro.allocators.binpack.resolution`.
@@ -101,48 +107,30 @@ class SecondChanceBinpacking(RegisterAllocator):
     # ------------------------------------------------------------------
     # Hole geometry.
     # ------------------------------------------------------------------
-    def _hole_end(self, state: ScanState, table: LifetimeTable,
-                  reg: PhysReg, point: int) -> tuple[int, int]:
-        """How far past ``point`` register ``reg`` stays free.
-
-        Returns ``(hole_end, occupant_resume)``: the combined hole end and
-        the earliest point an occupant's live range resumes (``_INF`` when
-        no occupant ever does).  The distinction matters because only
-        *reservation* expiry has eviction events during the scan — a temp
-        may be packed into an insufficient reservation hole (Section 2.5,
-        it will be evicted when the convention reclaims the register) but
-        never past an occupant's resumption, which would silently clobber
-        it.  Both values equal ``point`` when the register is unavailable
-        now.
+    def _hole_end(self, table: LifetimeTable, reserved: RangeSet,
+                  claim: list[Temp], point: int) -> int:
+        """How far past ``point`` a register stays free, given its
+        ``reserved`` ranges and its claimants ``claim``: the next
+        reservation start or occupant resumption, whichever comes first
+        (``_INF`` when neither ever does; ``point`` when the register is
+        unavailable now).  Every claimant's lifetime ends after ``point``:
+        the scan expired the others before asking.
         """
-        # One memoized lookup answers both "reserved now?" (nxt == point)
-        # and "when does the next reservation begin?" — the hole search
-        # asks this for every register at the same point, so the memo
-        # absorbs the repeat bisects.
-        nxt = table.reserved_for(reg).next_covered_memo(point)
+        nxt = reserved.next_covered_at_or_after(point)
         if nxt == point:
-            return point, point
+            return point
         end = nxt if nxt is not None else _INF
-        occupant_resume = _INF
-        state.prune(reg, point)
-        for t in state.occupants_of(reg):
+        for t in claim:
             lifetime = table.temps[t]
             if self.options.use_holes:
                 resume = lifetime.next_live_at_or_after(point)
             else:
                 # Without hole packing an occupant blocks its whole span.
-                if lifetime.end <= point:
-                    resume = None
-                elif lifetime.start <= point:
-                    resume = point
-                else:
-                    resume = lifetime.start
-            if resume is None:
-                continue
-            occupant_resume = min(occupant_resume, resume)
-            if occupant_resume <= point:
-                return point, point
-        return min(end, occupant_resume), occupant_resume
+                resume = max(lifetime.start, point)
+            if resume <= point:
+                return point
+            end = min(end, resume)
+        return end
 
     def _remaining_end(self, table: LifetimeTable, temp: Temp, point: int) -> int:
         """End of ``temp``'s remaining lifetime (at least one point)."""
@@ -232,7 +220,6 @@ class SecondChanceBinpacking(RegisterAllocator):
                 continue
             if machine.is_callee_saved(reg) and reg not in state.ever_used:
                 continue
-            state.prune(reg, point)
             if state.occupants_of(reg):
                 continue
             if table.reserved_for(reg).overlaps(remaining):
@@ -255,6 +242,8 @@ class SecondChanceBinpacking(RegisterAllocator):
         across runs, hash seeds, and Python versions.
         """
         remaining = self._remaining_ranges(table, temp, point)
+        claims = state.occupants[temp.regclass]
+        reservations = table.reserved[temp.regclass]
         best_fit: PhysReg | None = None
         best_fit_key = (_INF + 1, -1)  # (hole end, register index), minimized
         largest: PhysReg | None = None
@@ -262,16 +251,17 @@ class SecondChanceBinpacking(RegisterAllocator):
         for reg in emitter.register_order(temp.regclass):
             if reg in locked:
                 continue
-            hole_end, _resume = self._hole_end(state, table, reg, point)
+            claim, reserved = claims[reg.index], reservations[reg.index]
+            hole_end = self._hole_end(table, reserved, claim, point)
             if hole_end <= point:
                 continue
             # Occupants must never be live while the newcomer is: their
             # resumptions have no eviction event, so an overlap would
             # silently clobber one of the two.
             if any(self._occupant_ranges(table, other).overlaps(remaining)
-                   for other in state.occupants_of(reg)):
+                   for other in claim):
                 continue
-            if not table.reserved_for(reg).overlaps(remaining):
+            if not reserved.overlaps(remaining):
                 # Sufficient: the register is free over every point where
                 # the temporary is live (holes included) — best fit keeps
                 # the smallest such hole (Section 2.2), lowest index on ties.
@@ -320,9 +310,7 @@ class SecondChanceBinpacking(RegisterAllocator):
         victim: Temp | None = None
         worst = (float("inf"), -1)  # (priority, register index), minimized
         for reg in emitter.register_order(temp.regclass):
-            if (reg in locked
-                    or table.reserved_for(reg).next_covered_memo(point)
-                    == point):
+            if reg in locked or table.reserved_for(reg).covers(point):
                 continue
             blocking = [t for t in state.occupants_of(reg)
                         if table.temps[t].start <= point < table.temps[t].end]
@@ -379,6 +367,7 @@ class SecondChanceBinpacking(RegisterAllocator):
                     def_point = use_point + 1
                     pre: list[Instr] = []
                     locked: set[PhysReg] = set()
+                    state.expire(use_point)
 
                     # 1. Reservation events: convention reclaims registers.
                     self._process_reservations(state, table, emitter, stats,
@@ -407,7 +396,10 @@ class SecondChanceBinpacking(RegisterAllocator):
                         instr.uses[i] = reg
                         locked.add(reg)
 
-                    # 3. Defs.
+                    # 3. Defs.  A use that dies here has left its register
+                    # by now, so move elimination can hand that register
+                    # to the move's destination.
+                    state.expire(def_point)
                     for i, dst in enumerate(instr.defs):
                         if isinstance(dst, PhysReg):
                             locked.add(dst)
@@ -457,18 +449,17 @@ class SecondChanceBinpacking(RegisterAllocator):
         """Evict occupants of registers the convention claims during the
         current instruction window ``[use_point, use_point + 2)``."""
         window_end = use_point + 2
-        # Snapshot: an early-second-chance move inside _evict may add a
-        # fresh register key to the occupancy map.  Sorted so eviction
-        # order is a function of the code, not of occupancy-map history.
-        for reg, claim in sorted(state.occupants.items()):
-            if not claim:
-                continue
-            if not table.reserved_for(reg).overlaps_interval_memo(
-                    use_point, window_end):
-                continue
-            for temp in list(claim):
-                self._evict(state, table, emitter, stats, temp, reg,
-                            use_point, pre, locked, allow_move=True)
+        # GPRs then FPRs, each in index order: eviction order is a
+        # function of the code, not of occupancy history.
+        for cls, claims in state.occupants.items():
+            for reg, claim, reserved in zip(table.machine.regs(cls), claims,
+                                            table.reserved[cls]):
+                if not claim or not reserved.overlaps_interval(use_point,
+                                                               window_end):
+                    continue
+                for temp in list(claim):
+                    self._evict(state, table, emitter, stats, temp, reg,
+                                use_point, pre, locked, allow_move=True)
 
     def _try_move_elimination(self, state: ScanState, table: LifetimeTable,
                               stats: AllocationStats, instr: Instr, dst: Temp,
@@ -482,7 +473,6 @@ class SecondChanceBinpacking(RegisterAllocator):
         remaining = self._remaining_ranges(table, dst, def_point)
         if table.reserved_for(src).overlaps(remaining):
             return None
-        state.prune(src, def_point)
         for occupant in state.occupants_of(src):
             if self._occupant_ranges(table, occupant).overlaps(remaining):
                 return None

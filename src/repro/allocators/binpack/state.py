@@ -4,7 +4,10 @@ The scan tracks, at every linear point:
 
 * which temporaries currently *occupy* each register (several may share a
   register when all but one sit in lifetime holes — Figure 1's ``T3``
-  inside ``T1``'s hole);
+  inside ``T1``'s hole).  The register file is one list per register
+  class, indexed by ``PhysReg.index``, like RyuJIT's per-register
+  ``RegRecord``; a temporary leaves it for good once, when the scan
+  passes the end of its lifetime (:meth:`ScanState.expire`);
 * each temporary's current location (a register, its memory home, or
   nowhere during a hole after an eviction);
 * the ``ARE_CONSISTENT`` working bit vector of Section 2.4 — whether a
@@ -25,6 +28,7 @@ from dataclasses import dataclass, field
 from repro.cfg.cfg import CFG
 from repro.dataflow.liveness import LivenessInfo
 from repro.ir.temp import PhysReg, Temp
+from repro.ir.types import RegClass
 from repro.lifetimes.intervals import LifetimeTable
 
 
@@ -61,9 +65,12 @@ class ScanState:
         self.table = table
         self.liveness = liveness
         self.cfg = cfg
-        #: Temporaries with a claim on each register.  At any point at
-        #: most one occupant is live; the rest sit in lifetime holes.
-        self.occupants: dict[PhysReg, list[Temp]] = {}
+        #: Temporaries with a claim on each register, per class and
+        #: indexed by register index.  At any point at most one occupant
+        #: is live; the rest sit in lifetime holes.
+        self.occupants: dict[RegClass, list[list[Temp]]] = {
+            cls: [[] for _ in range(table.machine.file_size(cls))]
+            for cls in RegClass}
         #: Registers that have ever held a temporary — used to stop the
         #: early-second-chance move from dragging a *fresh* callee-saved
         #: register (and its prologue save/restore pair) into use just to
@@ -83,33 +90,30 @@ class ScanState:
         self.stat_placements: int = 0
         self.stat_hole_shares: int = 0
         self.stat_consistency_assumptions: int = 0
+        #: Every lifetime, by end point; :meth:`expire` walks it once.
+        self._by_end = sorted(table.temps.values(), key=lambda lt: lt.end)
+        self._expired = 0
 
     # ------------------------------------------------------------------
     # Occupancy.
     # ------------------------------------------------------------------
     def occupants_of(self, reg: PhysReg) -> list[Temp]:
-        """Current claimants of ``reg`` (pruning finished lifetimes)."""
-        claim = self.occupants.get(reg)
-        if not claim:
-            return []
-        return claim
+        """Current claimants of ``reg``."""
+        return self.occupants[reg.regclass][reg.index]
 
-    def prune(self, reg: PhysReg, point: int) -> None:
-        """Drop claimants whose lifetime has fully ended before ``point``."""
-        claim = self.occupants.get(reg)
-        if not claim:
-            return
-        keep = []
-        for t in claim:
-            if self.table.temps[t].end > point:
-                keep.append(t)
-            elif self.loc.get(t) == reg:
-                del self.loc[t]
-        self.occupants[reg] = keep
+    def expire(self, point: int) -> None:
+        """Drop the claim and residency of every temporary whose lifetime
+        ends at or before ``point`` (``point`` never decreases)."""
+        by_end = self._by_end
+        i = self._expired
+        while i < len(by_end) and by_end[i].end <= point:
+            self.displace(by_end[i].reg)
+            i += 1
+        self._expired = i
 
     def place(self, temp: Temp, reg: PhysReg) -> None:
         """Give ``temp`` a claim on ``reg`` and make it resident there."""
-        claim = self.occupants.setdefault(reg, [])
+        claim = self.occupants[reg.regclass][reg.index]
         if claim:
             self.stat_hole_shares += 1
         claim.append(temp)
@@ -122,9 +126,7 @@ class ScanState:
         register; its location is memory or nowhere)."""
         reg = self.loc.pop(temp, None)
         if reg is not None:
-            claim = self.occupants.get(reg)
-            if claim and temp in claim:
-                claim.remove(temp)
+            self.occupants[reg.regclass][reg.index].remove(temp)
 
     # ------------------------------------------------------------------
     # Consistency bits (Section 2.3/2.4).

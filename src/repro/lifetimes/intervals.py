@@ -84,7 +84,7 @@ class RangeSet:
     iteration boundary (``iter``/``ranges``/``holes``), built lazily.
     """
 
-    __slots__ = ("_starts", "_ends", "_ranges", "_memo_point", "_memo_next")
+    __slots__ = ("_starts", "_ends", "_ranges")
 
     def __init__(self, raw: list[tuple[int, int]] | None = None):
         starts: list[int] = []
@@ -101,8 +101,6 @@ class RangeSet:
         self._starts = starts
         self._ends = ends
         self._ranges: tuple[Range, ...] | None = None
-        self._memo_point: int | None = None
-        self._memo_next: int | None = None
 
     @classmethod
     def _from_flat(cls, starts: list[int], ends: list[int]) -> "RangeSet":
@@ -111,8 +109,6 @@ class RangeSet:
         rs._starts = starts
         rs._ends = ends
         rs._ranges = None
-        rs._memo_point = None
-        rs._memo_next = None
         return rs
 
     @classmethod
@@ -191,38 +187,11 @@ class RangeSet:
             return starts[i]
         return None
 
-    def next_covered_memo(self, point: int) -> int | None:
-        """:meth:`next_covered_at_or_after` behind a one-entry memo.
-
-        The binpacking scan queries every register's reserved set at the
-        same non-decreasing allocation point several times per
-        instruction window (hole search, reservation expiry, eviction
-        victim scan), so a single remembered ``(point, answer)`` pair
-        absorbs most of the bisect traffic.  ``covers(point)`` is the
-        ``answer == point`` case, so callers needing both facts pay one
-        lookup.  Pure memoization — never observable: the cached answer
-        is exactly what the direct query returns (pinned by the parity
-        test), and the sets are immutable after construction.
-        """
-        if point == self._memo_point:
-            return self._memo_next
-        nxt = self.next_covered_at_or_after(point)
-        self._memo_point = point
-        self._memo_next = nxt
-        return nxt
-
     def overlaps_interval(self, start: int, end: int) -> bool:
         """True when the set intersects ``[start, end)``."""
         if start >= end:
             return False
         nxt = self.next_covered_at_or_after(start)
-        return nxt is not None and nxt < end
-
-    def overlaps_interval_memo(self, start: int, end: int) -> bool:
-        """:meth:`overlaps_interval` through the one-entry memo."""
-        if start >= end:
-            return False
-        nxt = self.next_covered_memo(start)
         return nxt is not None and nxt < end
 
     def overlaps(self, other: "RangeSet") -> bool:
@@ -338,8 +307,9 @@ class LifetimeTable:
         max_point: One past the last linear point of the function.
         temps: Lifetime per temporary (every temporary, including
             block-local ones).
-        reserved: Reserved-range set per physical register (empty sets
-            are omitted; query through :meth:`reserved_for`).
+        reserved: Per register class, the reserved-range set of every
+            register, indexed by ``PhysReg.index``; registers without a
+            reservation share one empty set.
         ref_points: Per temp, the sorted reference points (uses at
             ``2i``, defs at ``2i+1``).
         ref_depths: Parallel loop depths for each reference point.
@@ -349,15 +319,13 @@ class LifetimeTable:
     block_span: dict[str, tuple[int, int]]
     max_point: int
     temps: dict[Temp, Lifetime]
-    reserved: dict[PhysReg, RangeSet]
+    reserved: dict[RegClass, list[RangeSet]]
     ref_points: dict[Temp, list[int]]
     ref_depths: dict[Temp, list[int]]
 
-    _EMPTY = RangeSet()
-
     def reserved_for(self, reg: PhysReg) -> RangeSet:
         """The convention-reserved ranges of ``reg`` (possibly empty)."""
-        return self.reserved.get(reg, self._EMPTY)
+        return self.reserved[reg.regclass][reg.index]
 
     def lifetime(self, temp: Temp) -> Lifetime:
         """The lifetime of ``temp`` (raises for unreferenced temps)."""
@@ -457,7 +425,13 @@ def compute_lifetimes(fn: Function, machine: MachineDescription,
     # sorting constructor.
     temps = {t: Lifetime(t, RangeSet.from_reverse_sweep(ranges))
              for t, ranges in raw_temp.items()}
-    reserved = {r: RangeSet(ranges) for r, ranges in raw_phys.items()}
+    empty = RangeSet()
+    reserved = {cls: [empty] * machine.file_size(cls) for cls in RegClass}
+    for r, ranges in raw_phys.items():
+        if r.index >= len(reserved[r.regclass]):
+            raise ValueError(f"{fn.name}: register {r} does not exist on "
+                             f"{machine.name}")
+        reserved[r.regclass][r.index] = RangeSet(ranges)
     return LifetimeTable(
         machine=machine,
         block_span=block_span,

@@ -167,6 +167,26 @@ class TestHoleSharing:
         assert outcome.output == [5, 7, 6]
         assert not result.stats.spill_static
 
+    def test_register_freed_by_a_dying_use_is_not_a_shared_hole(self):
+        """The use that dies at a move has left the register file by the
+        move's write point, so the eliminated move's destination takes
+        the source register as a plain placement, not a hole share."""
+        machine = tiny(4, 4)
+        module = Module()
+        fn = Function("main")
+        b = FunctionBuilder(fn)
+        b.new_block("entry")
+        x = b.li(5)
+        y = b.mov(x)          # x dies where y is born
+        b.print_(y)
+        b.ret()
+        module.add_function(fn)
+        result = run_binpack(module, machine)
+        metrics = result.stats.metrics
+        assert result.stats.moves_eliminated == 1
+        assert metrics.get("binpack.scan.placements") == 2
+        assert metrics.get("binpack.scan.hole_shares") == 0
+
     def test_disabling_holes_is_still_correct(self):
         machine = tiny(5, 4)
         module = straightline_module(8, machine)
@@ -316,24 +336,3 @@ class TestConsistency:
         assert "main" in iters
         # The paper: "terminates in two or three iterations at most".
         assert 0 < iters["main"] <= 4
-
-
-class TestReservedMemoParity:
-    """The memoized reserved-range lookups must not change allocation."""
-
-    def test_allocation_identical_with_memo_disabled(self, monkeypatch):
-        from repro.ir.printer import print_module
-        from repro.lifetimes.intervals import RangeSet
-        from repro.workloads.programs import build_program
-
-        machine = tiny(6, 4)
-        module = build_program("doduc", machine)
-        with_memo = print_module(run_binpack(module, machine).module)
-        # Route every memoized query straight to the unmemoized bisect:
-        # the allocator's output must be byte-identical.
-        monkeypatch.setattr(RangeSet, "next_covered_memo",
-                            RangeSet.next_covered_at_or_after)
-        monkeypatch.setattr(RangeSet, "overlaps_interval_memo",
-                            RangeSet.overlaps_interval)
-        without_memo = print_module(run_binpack(module, machine).module)
-        assert with_memo == without_memo

@@ -41,21 +41,35 @@ class TestOccupancy:
         assert x not in state.loc
         assert state.occupants_of(reg) == []
 
-    def test_prune_drops_expired_lifetimes(self):
+    def test_expire_at_end_drops_claim_and_location(self):
         state, x, _ = make_state()
         reg = PhysReg(G, 2)
         state.place(x, reg)
-        end = state.table.temps[x].end
-        state.prune(reg, end + 2)
+        state.expire(state.table.temps[x].end)
         assert state.occupants_of(reg) == []
         assert x not in state.loc
 
-    def test_prune_keeps_live_occupants(self):
+    def test_expire_at_start_keeps_occupant(self):
         state, x, _ = make_state()
         reg = PhysReg(G, 2)
         state.place(x, reg)
-        state.prune(reg, state.table.temps[x].start)
+        state.expire(state.table.temps[x].start)
         assert state.occupants_of(reg) == [x]
+        assert state.loc[x] == reg
+
+    def test_displaced_and_placed_again_expires_once(self):
+        state, x, y = make_state()
+        first, second = PhysReg(G, 2), PhysReg(G, 3)
+        state.place(x, first)
+        state.displace(x)
+        state.place(x, second)
+        state.place(y, first)
+        end = state.table.temps[x].end
+        assert state.table.temps[y].end > end
+        state.expire(end)
+        assert state.occupants_of(first) == [y]
+        assert state.occupants_of(second) == []
+        assert x not in state.loc
 
     def test_multiple_claimants(self):
         state, x, y = make_state()
