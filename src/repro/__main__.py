@@ -37,7 +37,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.allocators import ALLOCATOR_FACTORIES
+from repro.allocators import ALLOCATOR_FACTORIES, make_allocator
 from repro.ir.printer import print_module
 from repro.lang import compile_minic
 from repro.obs import (JsonlSink, MetricsRegistry, PhaseProfiler,
@@ -45,12 +45,10 @@ from repro.obs import (JsonlSink, MetricsRegistry, PhaseProfiler,
 from repro.pm.batch import compare_allocators
 from repro.pm.session import CompilationSession
 from repro.sim import simulate
-from repro.sim.machine import outputs_equal
-from repro.spill import DEFAULT_CONTEXT, STRESS_MODES, AllocationContext
+from repro.sim.machine import mismatch
+from repro.spill import STRESS_MODES, AllocationContext
 from repro.stats.report import format_table
 from repro.target import alpha, tiny
-
-ALLOCATORS = ALLOCATOR_FACTORIES
 
 
 def _context(args: argparse.Namespace) -> AllocationContext:
@@ -111,7 +109,7 @@ class _TraceOut:
 def cmd_run(args: argparse.Namespace) -> int:
     machine = _machine(args.machine)
     module = _load_module(args.file, machine)
-    allocator = ALLOCATORS[args.allocator]()
+    allocator = make_allocator(args.allocator)
     with _TraceOut(args) as out:
         result = CompilationSession(module, machine).run(
             allocator, spill_cleanup=args.spill_cleanup, trace=out.tracer(),
@@ -132,7 +130,7 @@ def cmd_compile(args: argparse.Namespace) -> int:
     if not args.allocate:
         print(print_module(module))
         return 0
-    allocator = ALLOCATORS[args.allocator]()
+    allocator = make_allocator(args.allocator)
     with _TraceOut(args) as out:
         result = CompilationSession(module, machine).run(
             allocator, spill_cleanup=args.spill_cleanup, trace=out.tracer(),
@@ -141,32 +139,29 @@ def cmd_compile(args: argparse.Namespace) -> int:
     return 0
 
 
-def _comparison(module, machine, spill_cleanup: bool,
-                trace: Tracer | None = None, jobs: int = 1,
-                context: AllocationContext = DEFAULT_CONTEXT) -> str:
+def _comparison(args: argparse.Namespace, module, machine) -> int:
+    """Print every allocator's row for ``module``, each oracle-checked."""
     reference = simulate(module, machine)
-    cells = compare_allocators(module, machine, spill_cleanup=spill_cleanup,
-                               jobs=jobs, trace=trace, context=context)
+    with _TraceOut(args) as out:
+        cells = compare_allocators(
+            module, machine, spill_cleanup=args.spill_cleanup, jobs=args.jobs,
+            trace=out.tracer(), context=_context(args))
     rows = []
     for cell in cells:
-        if not outputs_equal(cell.output, reference.output):
-            raise SystemExit(
-                f"{cell.allocator}: allocation changed program output!")
+        problem = mismatch(reference, cell)
+        if problem:
+            raise SystemExit(f"{cell.allocator}: {problem}")
         rows.append([cell.allocator, cell.dynamic_instructions, cell.cycles,
                      f"{100 * cell.spill_fraction:.2f}%",
                      f"{cell.alloc_seconds * 1000:.1f}"])
-    return format_table(
-        ["allocator", "dyn instrs", "cycles", "spill%", "alloc ms"], rows)
+    print(format_table(
+        ["allocator", "dyn instrs", "cycles", "spill%", "alloc ms"], rows))
+    return 0
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
     machine = _machine(args.machine)
-    module = _load_module(args.file, machine)
-    with _TraceOut(args) as out:
-        print(_comparison(module, machine, args.spill_cleanup,
-                          trace=out.tracer(), jobs=args.jobs,
-                          context=_context(args)))
-    return 0
+    return _comparison(args, _load_module(args.file, machine), machine)
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
@@ -178,17 +173,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
     machine = _machine(args.machine)
     module = build_program(args.name, machine)
     print(f"benchmark analog: {args.name} on {machine}")
-    with _TraceOut(args) as out:
-        print(_comparison(module, machine, args.spill_cleanup,
-                          trace=out.tracer(), jobs=args.jobs,
-                          context=_context(args)))
-    return 0
+    return _comparison(args, module, machine)
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
     machine = _machine(args.machine)
     module = _load_module(args.file, machine)
-    allocator = ALLOCATORS[args.allocator]()
+    allocator = make_allocator(args.allocator)
     text_sink = None if args.quiet else TextSink(sys.stdout)
     with _TraceOut(args) as out:
         tracer = out.tracer(text_sink)
@@ -213,7 +204,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
 def cmd_profile(args: argparse.Namespace) -> int:
     machine = _machine(args.machine)
     module = _load_module(args.file, machine)
-    allocator = ALLOCATORS[args.allocator]()
+    allocator = make_allocator(args.allocator)
     profiler = PhaseProfiler()
     # One registry for the whole run so the session's analysis-cache
     # counters (pm.*) render alongside the allocator's own.
@@ -415,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
         context_options(p)
         if with_allocator:
             p.add_argument("--allocator", default="second-chance",
-                           choices=sorted(ALLOCATORS),
+                           choices=sorted(ALLOCATOR_FACTORIES),
                            help="register allocator (default: second-chance)")
 
     run_p = sub.add_parser("run", help="compile and execute a minic file")

@@ -24,6 +24,7 @@ from repro.allocators.base import (
     allocate_module,
 )
 from repro.allocators.binpack import SecondChanceBinpacking, TwoPassBinpacking
+from repro.allocators.binpack.allocator import BinpackOptions
 from repro.allocators.coloring import GraphColoring
 from repro.allocators.linearscan import PolettoLinearScan
 
@@ -38,8 +39,10 @@ ALLOCATOR_FACTORIES: dict[str, type[RegisterAllocator]] = {
 }
 
 
-def make_allocator(name: str) -> RegisterAllocator:
-    """Construct a fresh allocator from its registry name."""
+def make_allocator(name: str, options: BinpackOptions | None = None
+                   ) -> RegisterAllocator:
+    """Construct a fresh allocator from its registry name; ``options``
+    are refused (``ValueError``) for any but second-chance."""
     try:
         factory = ALLOCATOR_FACTORIES[name]
     except KeyError:
@@ -47,7 +50,10 @@ def make_allocator(name: str) -> RegisterAllocator:
             f"unknown allocator {name!r} "
             f"(choose from {', '.join(sorted(ALLOCATOR_FACTORIES))})"
         ) from None
-    return factory()
+    if options is not None and name != "second-chance":
+        raise ValueError("BinpackOptions apply only to the second-chance "
+                         "allocator")
+    return factory() if options is None else factory(options)
 
 
 __all__ = [

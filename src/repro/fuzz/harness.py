@@ -26,9 +26,8 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 
-from repro.allocators import (GraphColoring, PolettoLinearScan,
-                              SecondChanceBinpacking, TwoPassBinpacking)
-from repro.allocators.base import AllocationError, RegisterAllocator
+from repro.allocators import make_allocator
+from repro.allocators.base import AllocationError
 from repro.allocators.binpack.allocator import BinpackOptions
 from repro.fuzz.generate import GeneratedProgram, program_for_seed
 from repro.fuzz.shrink import reference_outcome, shrink_module
@@ -37,7 +36,8 @@ from repro.ir.printer import print_module
 from repro.passes.verify_alloc import AllocationVerifyError
 from repro.pm.batch import run_batch
 from repro.pm.session import CompilationSession
-from repro.sim import SimulationError, outputs_equal, simulate
+from repro.sim import SimulationError, simulate
+from repro.sim.machine import mismatch
 from repro.spill import DEFAULT_CONTEXT, AllocationContext
 from repro.target.machine import MachineDescription
 
@@ -60,17 +60,6 @@ class FuzzConfig:
             return self
         return dataclasses.replace(self,
                                    context=self.context.with_seed(seed))
-
-    def make(self) -> RegisterAllocator:
-        if self.allocator == "second-chance":
-            return SecondChanceBinpacking(self.options or BinpackOptions())
-        if self.allocator == "two-pass":
-            return TwoPassBinpacking()
-        if self.allocator == "coloring":
-            return GraphColoring()
-        if self.allocator == "poletto":
-            return PolettoLinearScan()
-        raise ValueError(f"unknown allocator {self.allocator!r}")
 
 
 CONFIG_GRID: tuple[FuzzConfig, ...] = (
@@ -138,10 +127,6 @@ class Divergence:
                 f"instructions:\n{self.module_text}")
 
 
-def _result_matches(a: int | float | None, b: int | float | None) -> bool:
-    return outputs_equal([] if a is None else [a], [] if b is None else [b])
-
-
 def check_config(module: Module, machine: MachineDescription,
                  config: FuzzConfig, ref,
                  session: CompilationSession | None = None
@@ -158,8 +143,8 @@ def check_config(module: Module, machine: MachineDescription,
     if session is None:
         session = CompilationSession(module, machine)
     try:
-        result = session.run(config.make(), verify_dataflow=True,
-                             context=config.context)
+        result = session.run(make_allocator(config.allocator, config.options),
+                             verify_dataflow=True, context=config.context)
     except AllocationError as exc:
         return ("skip", str(exc))
     except AllocationVerifyError as exc:
@@ -171,13 +156,8 @@ def check_config(module: Module, machine: MachineDescription,
                        max_steps=ref.dynamic_instructions * 8 + 100_000)
     except SimulationError as exc:
         return ("sim-fault", str(exc))
-    if not outputs_equal(ref.output, out.output):
-        return ("mismatch",
-                f"output {out.output!r} != reference {ref.output!r}")
-    if not _result_matches(ref.result, out.result):
-        return ("mismatch",
-                f"result {out.result!r} != reference {ref.result!r}")
-    return None
+    problem = mismatch(ref, out)
+    return None if problem is None else ("mismatch", problem)
 
 
 def _shrink_divergence(program: GeneratedProgram, config: FuzzConfig,

@@ -124,6 +124,25 @@ class PhaseProfiler:
             mine.total_ns += stat.total_ns
             mine.self_ns += stat.self_ns
 
+    def summary(self) -> dict:
+        """The split every suite record and serve artifact embeds (plus
+        the raw per-phase table)."""
+        phases = {name: {"calls": stat.calls,
+                         "total_s": round(stat.total_seconds, 6),
+                         "self_s": round(stat.self_seconds, 6)}
+                  for name, stat in self.phases.items()}
+
+        def total(prefix: str) -> float:
+            return round(sum(stat.total_seconds
+                             for name, stat in self.phases.items()
+                             if name == prefix
+                             or name.startswith(prefix + ".")), 6)
+        return {"phases": phases,
+                "setup_s": total("setup"),
+                "allocate_s": total("allocate"),
+                "resolve_s": total("allocate.resolve"),
+                "pipeline_s": total("pipeline")}
+
     # ------------------------------------------------------------------
     # Rendering.
     # ------------------------------------------------------------------

@@ -110,9 +110,12 @@ def allocation_artifact(payload: dict) -> dict:
     with ``ir`` (printed IR text) *or* ``minic`` (source), plus
     ``machine`` (spec string), ``allocator``, ``context`` (canonical
     :meth:`~repro.spill.AllocationContext.describe` form), and
-    ``spill_cleanup``.  The result carries the allocated module text,
-    Figure-3 spill categories, dynamic counts, the metrics snapshot and
-    the phase profile — everything :mod:`repro.serve` streams back.
+    ``spill_cleanup``.  It allocates through
+    :meth:`CompilationSession.checked_run`; the result carries the
+    allocated module text, the metrics snapshot and the phase profile,
+    plus, for a module with ``main``, its checked run's
+    :func:`~repro.stats.spill.quality_figures` — everything
+    :mod:`repro.serve` streams back.
 
     Failures are *returned*, not raised (``{"error": {"code",
     "message"}}``), so a bad request cannot poison the worker process
@@ -123,11 +126,9 @@ def allocation_artifact(payload: dict) -> dict:
     from repro.ir.parser import parse_module
     from repro.lang import compile_minic
     from repro.obs.profile import PhaseProfiler
-    from repro.results.suite import (_phase_summary, machine_from_spec)
-    from repro.sim.machine import outputs_equal
+    from repro.results.suite import machine_from_spec
     from repro.spill import AllocationContext
-    from repro.stats.spill import (FIGURE3_CATEGORIES, REMAT_CATEGORIES,
-                                   spill_breakdown)
+    from repro.stats.spill import quality_figures
 
     def failure(code: str, exc: BaseException) -> dict:
         return {"error": {"code": code,
@@ -147,24 +148,11 @@ def allocation_artifact(payload: dict) -> dict:
     except Exception as exc:
         return failure("parse-error", exc)
     try:
-        runnable = "main" in module.functions
-        reference = simulate(module, machine) if runnable else None
-        session = CompilationSession(module, machine)
         metrics = MetricsRegistry()
         profiler = PhaseProfiler()
-        result = session.run(allocator,
-                             spill_cleanup=bool(payload.get("spill_cleanup")),
-                             profiler=profiler, metrics=metrics,
-                             context=context)
-        outcome = None
-        if runnable:
-            # Publish the allocated run's dynamic counts (sim.decode.*,
-            # sim.frames.*, sim.op.*) into the same registry, so the
-            # artifact's metrics snapshot covers simulation too.
-            outcome = simulate(result.module, machine, metrics=metrics)
-            if not outputs_equal(outcome.output, reference.output):
-                raise RuntimeError("allocation changed observable behaviour "
-                                   "(differential oracle mismatch)")
+        result = CompilationSession(module, machine).checked_run(
+            allocator, spill_cleanup=bool(payload.get("spill_cleanup")),
+            profiler=profiler, metrics=metrics, context=context)
         artifact = {
             "code": print_module(result.module),
             "allocator": payload.get("allocator", "second-chance"),
@@ -175,20 +163,10 @@ def allocation_artifact(payload: dict) -> dict:
             "dce_removed": result.dce_removed,
             "moves_removed": result.moves_removed,
             "metrics": metrics.snapshot(),
-            "profile": _phase_summary(profiler),
+            "profile": profiler.summary(),
         }
-        if runnable:
-            breakdown = spill_breakdown(outcome)
-            artifact.update({
-                "dynamic_instructions": outcome.dynamic_instructions,
-                "cycles": outcome.cycles,
-                "result": outcome.result,
-                "spill_categories": {
-                    f"{phase.value}.{kind.value}":
-                        breakdown.category(phase, kind)
-                    for phase, kind in FIGURE3_CATEGORIES + REMAT_CATEGORIES},
-                "total_spill": breakdown.total_spill,
-            })
+        if result.outcome is not None:
+            artifact.update(quality_figures(result.outcome))
         return artifact
     except Exception as exc:
         return failure("alloc-error", exc)

@@ -33,6 +33,7 @@ from repro.pm.analysis import AnalysisManager
 from repro.pm.passes import (DCE_PASS, PEEPHOLE_PASS, SPILL_CLEANUP_PASS,
                              PassManager, sum_spill_stats, verify_dataflow_pass,
                              verify_pass)
+from repro.sim.machine import OracleMismatch, SimOutcome, mismatch, simulate
 from repro.spill import AllocationContext
 from repro.target.machine import MachineDescription
 
@@ -44,7 +45,8 @@ class PipelineResult:
     The run's observability objects ride on ``stats``: ``stats.trace``
     (event tracer), ``stats.profiler`` (per-phase wall clock covering the
     whole pipeline, not just allocation), ``stats.metrics`` (the counters
-    every layer published into).
+    every layer published into).  ``outcome``, set by a checked run of a
+    module with ``main``, is the allocated module's simulation.
     """
 
     module: Module
@@ -52,11 +54,14 @@ class PipelineResult:
     dce_removed: int
     moves_removed: int
     spill_cleanup: SpillCleanupStats | None = None
+    outcome: SimOutcome | None = None
 
 
 @dataclass(eq=False)
 class CompilationSession:
     """Shared state for repeated allocator runs over one module.
+    :meth:`checked_run` is :meth:`run` plus the differential oracle
+    against the unallocated module, simulated once per session.
 
     Attributes:
         module: The pristine pre-allocation module.  The session never
@@ -79,6 +84,8 @@ class CompilationSession:
     # every run of the session.
     _prepared: dict[bool, tuple[Module, int]] = field(init=False,
                                                       default_factory=dict)
+    # The pristine module's simulation, the oracle of every checked run.
+    _reference: SimOutcome | None = field(init=False, default=None)
 
     def __post_init__(self) -> None:
         self.analyses = AnalysisManager(self.machine, metrics=self.metrics)
@@ -125,7 +132,7 @@ class CompilationSession:
     # ------------------------------------------------------------------
     # One full pipeline run.
     # ------------------------------------------------------------------
-    def run(self, allocator: RegisterAllocator, *, dce: bool = True,
+    def run(self, allocator: RegisterAllocator, *,
             spill_cleanup: bool = False, verify_dataflow: bool = False,
             trace: Tracer | None = None,
             profiler: PhaseProfiler | None = None,
@@ -135,9 +142,8 @@ class CompilationSession:
         verify, report.
 
         This is the paper's Section 3 pipeline with everything except
-        the allocator held fixed.  ``dce`` switches the dead-code pass
-        before allocation off (on by default); the peephole and the
-        structural post-allocation verifier always run.
+        the allocator held fixed.  Dead-code elimination, the peephole
+        and the structural post-allocation verifier always run.
 
         ``spill_cleanup`` additionally runs the post-allocation spill-code
         cleanup the paper sketches as future work (store-to-load
@@ -171,7 +177,7 @@ class CompilationSession:
             # Cached after the session's first dce run; the phase stays in
             # every run's profile so per-run timings remain comparable —
             # on a cache hit it simply measures (almost) nothing.
-            base, dce_removed = self.prepared(dce)
+            base, dce_removed = self.prepared()
         working = self.clone_base(base)
         snapshots = snapshot_module(working) if verify_dataflow else None
         stats = allocate_module(working, allocator.fresh(), self.machine,
@@ -198,3 +204,30 @@ class CompilationSession:
                                cleanup.loads_forwarded)
         return PipelineResult(working, stats, dce_removed, moves_removed,
                               cleanup)
+
+    def checked_run(self, allocator: RegisterAllocator, *,
+                    spill_cleanup: bool = False,
+                    profiler: PhaseProfiler | None = None,
+                    metrics: MetricsRegistry | None = None,
+                    context: "AllocationContext | None" = None
+                    ) -> PipelineResult:
+        """:meth:`run`, then simulate the allocated module into the run's
+        metrics (``sim.*``) and raise :class:`OracleMismatch` when
+        :func:`~repro.sim.machine.mismatch` finds its run differs from
+        the unallocated module's.  A module without ``main`` cannot run:
+        it is allocated and returned unchecked (``outcome`` is ``None``).
+        """
+        runnable = "main" in self.module.functions
+        if runnable and self._reference is None:
+            self._reference = simulate(self.module, self.machine)
+        result = self.run(allocator, spill_cleanup=spill_cleanup,
+                          profiler=profiler, metrics=metrics,
+                          context=context)
+        if runnable:
+            result.outcome = simulate(result.module, self.machine,
+                                      metrics=result.stats.metrics)
+            problem = mismatch(self._reference, result.outcome)
+            if problem is not None:
+                raise OracleMismatch("allocation changed observable "
+                                     f"behaviour: {problem}")
+        return result

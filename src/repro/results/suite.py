@@ -154,40 +154,9 @@ def cell_code_hash(module_text: str, machine) -> str:
     return content_hash(module_text, machine_signature(machine))
 
 
-def _allocator_for(key: CellKey):
-    from repro.allocators import make_allocator
-    from repro.allocators.binpack.allocator import (BinpackOptions,
-                                                    SecondChanceBinpacking)
-
-    if key.options and key.allocator != "second-chance":
-        raise SuiteError(f"{key.ident()}: BinpackOptions apply only to the "
-                         "second-chance allocator")
-    if key.options:
-        return SecondChanceBinpacking(BinpackOptions(**dict(key.options)))
-    return make_allocator(key.allocator)
-
-
 # ----------------------------------------------------------------------
 # Cell execution (module-level, picklable: process-pool workers).
 # ----------------------------------------------------------------------
-def _phase_summary(profiler: PhaseProfiler) -> dict:
-    """The three-way split every record embeds (plus the raw table)."""
-    phases = {name: {"calls": stat.calls,
-                     "total_s": round(stat.total_seconds, 6),
-                     "self_s": round(stat.self_seconds, 6)}
-              for name, stat in profiler.phases.items()}
-    def total(prefix: str) -> float:
-        return round(sum(stat.total_seconds
-                         for name, stat in profiler.phases.items()
-                         if name == prefix
-                         or name.startswith(prefix + ".")), 6)
-    return {"phases": phases,
-            "setup_s": total("setup"),
-            "allocate_s": total("allocate"),
-            "resolve_s": total("allocate.resolve"),
-            "pipeline_s": total("pipeline")}
-
-
 def execute_cell(payload: tuple) -> dict:
     """Process-pool worker: compute one cell's record payload.
 
@@ -196,45 +165,38 @@ def execute_cell(payload: tuple) -> dict:
     metrics come back via ``MetricsRegistry.snapshot()`` and are restored
     by the parent (see :meth:`MetricsRegistry.restore`).
     """
+    from repro.allocators import make_allocator
+    from repro.allocators.binpack.allocator import BinpackOptions
+    from repro.sim.machine import OracleMismatch
+
     key_doc, code_hash = payload
     key = CellKey.from_json(key_doc)
     module, machine = build_workload(key.workload, key.machine, key.order)
-    if key.kind == "timing":
-        return _execute_timing(key, module, machine)
-    return _execute_quality(key, module, machine)
+    try:
+        allocator = make_allocator(
+            key.allocator,
+            BinpackOptions(**dict(key.options)) if key.options else None)
+        if key.kind == "timing":
+            return _execute_timing(key, allocator, module, machine)
+        return _execute_quality(key, allocator, module, machine)
+    except (ValueError, OracleMismatch) as exc:
+        raise SuiteError(f"{key.ident()}: {exc}") from exc
 
 
-def _execute_quality(key: CellKey, module, machine) -> dict:
+def _execute_quality(key: CellKey, allocator, module, machine) -> dict:
     from repro.ir.printer import print_module
     from repro.pm.session import CompilationSession
-    from repro.sim import simulate
-    from repro.sim.machine import outputs_equal
     from repro.spill import AllocationContext
-    from repro.stats.spill import (FIGURE3_CATEGORIES, REMAT_CATEGORIES,
-                                   spill_breakdown)
+    from repro.stats.spill import quality_figures
 
-    reference = simulate(module, machine)
-    session = CompilationSession(module, machine)
-    metrics = MetricsRegistry()
     profiler = PhaseProfiler()
-    result = session.run(_allocator_for(key),
-                         spill_cleanup=key.spill_cleanup,
-                         profiler=profiler, metrics=metrics,
-                         context=AllocationContext.parse(key.context))
-    outcome = simulate(result.module, machine)
-    if not outputs_equal(outcome.output, reference.output):
-        raise SuiteError(f"{key.ident()}: allocation changed observable "
-                         "behaviour")
-    breakdown = spill_breakdown(outcome)
+    result = CompilationSession(module, machine).checked_run(
+        allocator, spill_cleanup=key.spill_cleanup, profiler=profiler,
+        metrics=MetricsRegistry(),
+        context=AllocationContext.parse(key.context))
     stats = result.stats
     return {
-        "dynamic_instructions": outcome.dynamic_instructions,
-        "cycles": outcome.cycles,
-        "result": outcome.result,
-        "spill_categories": {
-            f"{phase.value}.{kind.value}": breakdown.category(phase, kind)
-            for phase, kind in FIGURE3_CATEGORIES + REMAT_CATEGORIES},
-        "total_spill": breakdown.total_spill,
+        **quality_figures(result.outcome),
         "allocated_sha": content_hash(print_module(result.module)),
         "alloc": {
             "alloc_seconds": round(stats.alloc_seconds, 6),
@@ -248,11 +210,11 @@ def _execute_quality(key: CellKey, module, machine) -> dict:
             "moves_removed": result.moves_removed,
         },
         "metrics": stats.metrics.snapshot(),
-        "profile": _phase_summary(profiler),
+        "profile": profiler.summary(),
     }
 
 
-def _execute_timing(key: CellKey, module, machine) -> dict:
+def _execute_timing(key: CellKey, allocator, module, machine) -> dict:
     """Table 3's protocol: warm session, ``reps`` timed core runs."""
     from repro.allocators.base import allocate_module
     from repro.pm.session import CompilationSession
@@ -266,7 +228,7 @@ def _execute_timing(key: CellKey, module, machine) -> dict:
     for _ in range(max(1, key.reps)):
         working = session.clone_base()
         profiler = PhaseProfiler()
-        stats = allocate_module(working, _allocator_for(key), machine,
+        stats = allocate_module(working, allocator.fresh(), machine,
                                 profiler=profiler, session=session)
         samples.append(stats)
         setup_samples.append(profiler.seconds("setup"))

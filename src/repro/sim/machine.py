@@ -1318,6 +1318,21 @@ def outputs_equal(a: list[int | float] | None, b: list[int | float] | None) -> b
     return True
 
 
+class OracleMismatch(RuntimeError):
+    """Allocated code's run differs from the unallocated module's."""
+
+
+def mismatch(reference: SimOutcome, outcome: SimOutcome) -> str | None:
+    """The differential oracle: why ``outcome`` (allocated code's run)
+    differs from ``reference`` (the unallocated module's), or ``None``.
+    Compares ``output``, then ``result``, under :func:`outputs_equal`."""
+    if not outputs_equal(outcome.output, reference.output):
+        return f"output {outcome.output!r} != reference {reference.output!r}"
+    if not outputs_equal([outcome.result], [reference.result]):
+        return f"result {outcome.result!r} != reference {reference.result!r}"
+    return None
+
+
 def simulate(module: Module, machine: MachineDescription, *,
              entry: str = "main", max_steps: int = 50_000_000,
              poison_calls: bool = True,

@@ -88,3 +88,18 @@ def spill_breakdown(outcome: SimOutcome) -> SpillBreakdown:
     remat = tuple(outcome.spill_counts.get((phase, kind), 0)
                   for phase, kind in REMAT_CATEGORIES)
     return SpillBreakdown(counts, outcome.dynamic_instructions, remat)
+
+
+def quality_figures(outcome: SimOutcome) -> dict:
+    """One checked run's figures as suite records and serve artifacts
+    carry them: dynamic counts, result, every spill category."""
+    breakdown = spill_breakdown(outcome)
+    return {
+        "dynamic_instructions": outcome.dynamic_instructions,
+        "cycles": outcome.cycles,
+        "result": outcome.result,
+        "spill_categories": {
+            f"{phase.value}.{kind.value}": breakdown.category(phase, kind)
+            for phase, kind in FIGURE3_CATEGORIES + REMAT_CATEGORIES},
+        "total_spill": breakdown.total_spill,
+    }

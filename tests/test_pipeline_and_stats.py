@@ -55,13 +55,6 @@ class TestPipeline:
         assert result.dce_removed >= 2  # the adds/li chain for `dead`
         assert simulate(result.module, tiny_machine).output == [7]
 
-    def test_pipeline_can_skip_stages(self, tiny_machine):
-        module = compile_minic(SRC, tiny_machine)
-        result = CompilationSession(module, tiny_machine).run(
-            SecondChanceBinpacking(), dce=False)
-        assert result.dce_removed == 0
-        assert simulate(result.module, tiny_machine).output == [20]
-
 
 class TestSpillSlots:
     def test_home_is_stable_and_class_tagged(self):

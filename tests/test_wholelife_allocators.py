@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from repro.allocators import PolettoLinearScan, SecondChanceBinpacking, TwoPassBinpacking
+from repro.allocators import (PolettoLinearScan, SecondChanceBinpacking,
+                              TwoPassBinpacking, make_allocator)
 from repro.fuzz.generate import program_for_seed
 from repro.fuzz.harness import CONFIG_GRID, check_config, reference_outcome
 from repro.ir.builder import FunctionBuilder
@@ -215,7 +216,8 @@ class TestLayout:
         machine = tiny(4, 4)
         module = parse_module(USE_BEFORE_DEF_IR)
         result = CompilationSession(module, machine).run(
-            config.make(), verify_dataflow=True)
+            make_allocator(config.allocator, config.options),
+            verify_dataflow=True)
         assert simulate(result.module, machine).output == [26]
 
     @pytest.mark.parametrize("seed", range(24))

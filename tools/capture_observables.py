@@ -10,8 +10,11 @@ the new one, and diff the two JSON documents.
 
 One entry per (machine, allocator, analog): the printed allocated
 module, the simulator outputs, instruction/cycle counts, a hash of the
-static spill table, move/edge/round statistics.  Plus one verdict entry
-per fuzz seed.
+static spill table, move/edge/round statistics.  The same entry for
+every module and allocator the benchmark (``perfbench/``) scores: the
+``table3`` workload's three ``scaled_module``s and the ``serve``
+workload's 32 fuzz-generated modules.  Plus one verdict entry per fuzz
+seed.
 
 Usage::
 
@@ -35,6 +38,19 @@ from repro.target import alpha, tiny
 from repro.workloads.programs import PROGRAM_NAMES, build_program
 
 MACHINES = {"alpha": alpha, "tiny8": lambda: tiny(8, 8)}
+
+#: perfbench's ``table3`` modules: (name, candidates, group, seed,
+#: allocators), on alpha.
+TABLE3_MODULES = (
+    ("t3-245", 245, None, 1, tuple(ALLOCATOR_FACTORIES)),
+    ("t3-245-pressure", 245, 30, 2, tuple(ALLOCATOR_FACTORIES)),
+    ("t3-3000", 3000, None, 3, ("second-chance", "coloring")),
+)
+
+#: perfbench's ``serve`` modules: ``program_for_seed(SERVE_SEED_BASE + i)``
+#: for ``i < SERVE_MODULES``, each on its own machine, every allocator.
+SERVE_SEED_BASE = 7_000_000
+SERVE_MODULES = 32
 
 
 def _entry(module, machine, allocator_name: str) -> dict:
@@ -77,6 +93,26 @@ def capture(fuzz_seeds: int, progress=None) -> dict:
                 key = f"{machine_name}/{analog}/{allocator}"
                 say(key)
                 entries[key] = _entry(module, machine, allocator)
+    from repro.workloads.synthetic import scaled_module
+
+    machine = alpha()
+    for name, size, group, seed, allocators in TABLE3_MODULES:
+        module = scaled_module(size, seed, group=group)
+        for allocator in allocators:
+            key = f"table3/{name}/{allocator}"
+            say(key)
+            entries[key] = _entry(module, machine, allocator)
+    from repro.fuzz.generate import program_for_seed
+    from repro.ir.parser import parse_module
+
+    for i in range(SERVE_MODULES):
+        program = program_for_seed(SERVE_SEED_BASE + i)
+        # As the service receives it: printed IR, parsed back.
+        module = parse_module(print_module(program.module))
+        for allocator in ALLOCATOR_FACTORIES:
+            key = f"serve/{i}/{allocator}"
+            say(key)
+            entries[key] = _entry(module, program.machine, allocator)
     from repro.fuzz.harness import run_seed
 
     for seed in range(fuzz_seeds):
