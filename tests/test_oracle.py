@@ -95,7 +95,8 @@ def test_serve_refuses_code_that_fails_the_oracle(wrong):
 
 def test_suite_refuses_code_that_fails_the_oracle(wrong):
     key = CellKey(workload=f"fuzz:{SEED}", allocator=wrong, machine="auto")
-    with pytest.raises(SuiteError, match=r"fuzz:0.*observable behaviour"):
+    with pytest.raises(SuiteError,
+                       match=f"fuzz:{SEED}.*observable behaviour"):
         execute_cell((key.to_json(), "unused"))
 
 
