@@ -45,7 +45,7 @@ from repro.obs import (JsonlSink, MetricsRegistry, PhaseProfiler,
 from repro.pm.batch import compare_allocators
 from repro.pm.session import CompilationSession
 from repro.sim import simulate
-from repro.sim.machine import mismatch
+from repro.sim.machine import OracleMismatch, mismatch
 from repro.spill import STRESS_MODES, AllocationContext
 from repro.stats.report import format_table
 from repro.target import alpha, tiny
@@ -106,15 +106,24 @@ class _TraceOut:
         return Tracer(sinks) if sinks else None
 
 
+def _checked_run(args: argparse.Namespace, allocator, module, machine,
+                 trace):
+    """``checked_run``, with a failed oracle check as the exit message."""
+    try:
+        return CompilationSession(module, machine).checked_run(
+            allocator, spill_cleanup=args.spill_cleanup, trace=trace,
+            context=_context(args))
+    except OracleMismatch as exc:
+        raise SystemExit(f"{allocator.name}: {exc}")
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     machine = _machine(args.machine)
     module = _load_module(args.file, machine)
     allocator = make_allocator(args.allocator)
     with _TraceOut(args) as out:
-        result = CompilationSession(module, machine).run(
-            allocator, spill_cleanup=args.spill_cleanup, trace=out.tracer(),
-            context=_context(args))
-    outcome = simulate(result.module, machine)
+        result = _checked_run(args, allocator, module, machine, out.tracer())
+    outcome = result.outcome
     for value in outcome.output:
         print(value)
     print(f"# {outcome.dynamic_instructions:,} instructions, "
@@ -186,9 +195,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
         if tracer is None:
             # --quiet without --trace-out: count events, print nothing.
             tracer = Tracer([RingBufferSink()])
-        result = CompilationSession(module, machine).run(
-            allocator, spill_cleanup=args.spill_cleanup, trace=tracer,
-            context=_context(args))
+        _checked_run(args, allocator, module, machine, tracer)
     rows = [[kind.value, count] for kind, count in tracer.counts.items()]
     print(format_table(["event", "count"], rows,
                        title=f"event summary: {allocator.name}"))
@@ -196,8 +203,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
         total = sum(tracer.counts.values())
         print(f"# {total} events written to {args.trace_out}",
               file=sys.stderr)
-    # Keep the allocated module honest even in trace mode.
-    simulate(result.module, machine)
     return 0
 
 

@@ -34,8 +34,12 @@ the per-operation ``Temp`` hashing that used to dominate the profile is
 gone from every loop that scales with program size.
 
 The interference build is the sparse interval-sweep kernel
-(:mod:`~repro.allocators.coloring.sweep`); the differential tests swap
-in the retained per-instruction oracle from ``tests/oracles/``.
+(:mod:`~repro.allocators.coloring.sweep`).  SelectSpill pops a lazily
+invalidated heap instead of scanning the spill worklist, and Select
+tests a node's adjacency mask against one member mask per color instead
+of resolving each neighbour's alias.  The differential tests swap in the
+retained per-instruction build, the scanning SelectSpill and the
+neighbour-walking Select from ``tests/oracles/``.
 
 Worklists are backed by insertion-ordered dicts so the allocator is
 deterministic run to run.
@@ -43,6 +47,7 @@ deterministic run to run.
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from typing import Iterable
 
 from repro.allocators.base import (
@@ -126,16 +131,7 @@ class _ClassColoring:
             build_interference(self)
             self.total_edges += self.graph.edge_count()
             self._make_worklists()
-            while (self.simplify_wl or self.worklist_moves
-                   or self.freeze_wl or self.spill_wl):
-                if self.simplify_wl:
-                    self._simplify()
-                elif self.worklist_moves:
-                    self._coalesce()
-                elif self.freeze_wl:
-                    self._freeze()
-                else:
-                    self._select_spill()
+            self._drain_worklists()
             self._assign_colors()
             if not self.spilled_nodes:
                 break
@@ -165,6 +161,12 @@ class _ClassColoring:
         self.simplify_wl = OrderedSet()
         self.freeze_wl = OrderedSet()
         self.spill_wl = OrderedSet()
+        #: SelectSpill's lazily invalidated heap of ``(metric, seq,
+        #: node)`` entries; ``spill_seq[n]`` is ``n``'s insertion
+        #: position in ``spill_wl`` (see :meth:`_select_spill`).
+        self.spill_heap: list[tuple[float, int, int]] = []
+        self.spill_seq: list[int] = [0] * n
+        self.spill_count = 0
         self.spilled_nodes = OrderedSet()
         self.coalesced = bytearray(n)
         self.colored = bytearray(n)
@@ -191,7 +193,7 @@ class _ClassColoring:
         k = self.k
         for i in range(self.n_pre, self.graph.n):
             if degree[i] >= k:
-                self.spill_wl.add(i)
+                self._spill_push(i)
             elif self._move_related(i):
                 self.freeze_wl.add(i)
             else:
@@ -200,6 +202,19 @@ class _ClassColoring:
     # ------------------------------------------------------------------
     # Worklist machinery (Appel's pseudocode, names kept recognizable).
     # ------------------------------------------------------------------
+    def _drain_worklists(self) -> None:
+        """Push every candidate onto the select stack (Appel's main loop)."""
+        while (self.simplify_wl or self.worklist_moves
+               or self.freeze_wl or self.spill_wl):
+            if self.simplify_wl:
+                self._simplify()
+            elif self.worklist_moves:
+                self._coalesce()
+            elif self.freeze_wl:
+                self._freeze()
+            else:
+                self._select_spill()
+
     def _adjacent(self, n: int) -> list[int]:
         on_stack = self.on_stack
         coalesced = self.coalesced
@@ -346,7 +361,11 @@ class _ClassColoring:
             self._decrement_degree(t)
         if self.graph.degree[u] >= self.k and u in self.freeze_wl:
             self.freeze_wl.discard(u)
-            self.spill_wl.add(u)
+            self._spill_push(u)
+        elif u in self.spill_wl:
+            # The one place a degree rises: u's metric may have fallen
+            # below the keys of its heap entries.
+            self._spill_push(u)
 
     def _freeze(self) -> None:
         u = self.freeze_wl.pop_first()
@@ -367,20 +386,48 @@ class _ClassColoring:
                 self.freeze_wl.discard(v)
                 self.simplify_wl.add(v)
 
+    def _spill_metric(self, t: int) -> float:
+        c = self.cost[t]
+        if self.is_spill_temp[t]:
+            c *= self.SPILL_TEMP_COST_FACTOR
+        return c / max(self.graph.degree[t], 1)
+
+    def _spill_push(self, t: int) -> None:
+        """Add ``t`` to ``spill_wl`` if absent; push its current entry."""
+        if t not in self.spill_wl:
+            self.spill_wl.add(t)
+            self.spill_seq[t] = self.spill_count
+            self.spill_count += 1
+        heappush(self.spill_heap,
+                 (self._spill_metric(t), self.spill_seq[t], t))
+
     def _select_spill(self) -> None:
-        cost = self.cost
-        degree = self.graph.degree
-        is_spill_temp = self.is_spill_temp
-        factor = self.SPILL_TEMP_COST_FACTOR
+        """Move the cheapest spill candidate to the simplify worklist.
 
-        def metric(t: int) -> float:
-            c = cost[t]
-            if is_spill_temp[t]:
-                c *= factor
-            return c / max(degree[t], 1)
-
-        m = min(self.spill_wl, key=metric)
-        self.spill_wl.discard(m)
+        The candidate is the first node of ``spill_wl``, in insertion
+        order, with the least ``cost / max(degree, 1)``.  The heap holds
+        for every member an entry whose key is at most its current metric
+        and whose seq is its current insertion position.  Costs are fixed
+        within a round and degrees only fall outside ``_combine``, so a
+        metric only rises; ``_combine`` pushes a fresh entry for the one
+        node whose degree rises.  An entry is stale when its node has left
+        ``spill_wl`` or re-entered it since (the seq differs); one whose
+        key is below the node's metric is pushed again with the metric.
+        The first entry whose key is current is then the least
+        ``(metric, seq)`` over all members.
+        """
+        heap = self.spill_heap
+        spill_wl = self.spill_wl
+        spill_seq = self.spill_seq
+        while True:
+            key, seq, m = heappop(heap)
+            if m not in spill_wl or spill_seq[m] != seq:
+                continue
+            metric = self._spill_metric(m)
+            if key == metric:
+                break
+            heappush(heap, (metric, seq, m))
+        spill_wl.discard(m)
         self.simplify_wl.add(m)
         self._freeze_moves(m)
 
@@ -388,9 +435,18 @@ class _ClassColoring:
     # Color assignment and spill rewriting.
     # ------------------------------------------------------------------
     def _assign_colors(self) -> None:
+        """Pop the select stack, giving each node its first free color.
+
+        ``members[c]`` is the mask of every node whose alias
+        representative holds color ``c``: each precolored register and
+        the temporaries coalesced into it from the start, and a
+        representative's whole alias group once it is colored.  Color
+        ``c`` is free for ``n`` when ``adj_mask[n] & members[c]`` is 0,
+        so no neighbour is resolved one by one.
+        """
         graph = self.graph
         nodes = graph.nodes
-        adj_list = graph.adj_list
+        adj_mask = graph.adj_mask
         alias = self.alias
         coalesced = self.coalesced
         colored = self.colored
@@ -400,26 +456,23 @@ class _ClassColoring:
         n_pre = self.n_pre
         rounds = self.rounds
         tr = self.stats.trace
-        # Aliases are final once the worklists drain, so resolve every
-        # node's representative once instead of chasing chains per
-        # adjacency entry.
-        resolved = list(range(graph.n))
-        for i in range(graph.n):
-            j = i
-            while coalesced[j]:
-                j = alias[j]
-            resolved[i] = j
+        # Aliases are final once the worklists drain; ``group[r]`` is the
+        # mask of the nodes coalesced into representative ``r``.
+        group: dict[int, int] = {}
+        for i in range(n_pre, graph.n):
+            if coalesced[i]:
+                j = alias[i]
+                while coalesced[j]:
+                    j = alias[j]
+                group[j] = group.get(j, 0) | 1 << i
+        members = [1 << c | group.get(c, 0) for c in range(n_pre)]
         while self.select_stack:
             n = self.select_stack.pop()
             on_stack[n] = 0
-            forbidden = 0
-            for w in adj_list[n]:
-                w = resolved[w]
-                if colored[w] or w < n_pre:
-                    forbidden |= 1 << color[w]
+            adj = adj_mask[n]
             chosen = -1
             for c in color_order_ix:
-                if not forbidden >> c & 1:
+                if not adj & members[c]:
                     chosen = c
                     break
             if chosen < 0:
@@ -430,6 +483,7 @@ class _ClassColoring:
             else:
                 colored[n] = 1
                 color[n] = chosen
+                members[chosen] |= 1 << n | group.get(n, 0)
                 if tr.enabled:
                     tr.emit(EventKind.ASSIGN, temp=nodes[n], reg=nodes[chosen],
                             detail=f"color (round {rounds})")

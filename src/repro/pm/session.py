@@ -207,6 +207,7 @@ class CompilationSession:
 
     def checked_run(self, allocator: RegisterAllocator, *,
                     spill_cleanup: bool = False,
+                    trace: Tracer | None = None,
                     profiler: PhaseProfiler | None = None,
                     metrics: MetricsRegistry | None = None,
                     context: "AllocationContext | None" = None
@@ -221,7 +222,7 @@ class CompilationSession:
         if runnable and self._reference is None:
             self._reference = simulate(self.module, self.machine)
         result = self.run(allocator, spill_cleanup=spill_cleanup,
-                          profiler=profiler, metrics=metrics,
+                          trace=trace, profiler=profiler, metrics=metrics,
                           context=context)
         if runnable:
             result.outcome = simulate(result.module, self.machine,

@@ -1,4 +1,5 @@
-"""The mask-based interference build, retained as the semantic oracle.
+"""The mask-based interference build and the scanning SelectSpill and
+Select, retained as the semantic oracles.
 
 This is the original per-instruction build, verbatim: walk every
 instruction of every block backward, keep the live set as an int bitmask
@@ -24,6 +25,17 @@ The object-keyed :class:`InterferenceGraph` (over the paper's
 lower-triangular :class:`TriangularBitMatrix`) is the graph the oracle
 builds into; the allocator itself works on the index-space
 :class:`~repro.allocators.coloring.ifgraph.IndexGraph`.
+
+The allocator's SelectSpill pops a heap and its Select tests per-color
+member masks.  :func:`scan_select_spill` and :func:`walk_assign_colors`
+are the two steps as they were before: a linear ``min`` over the spill
+worklist, and a walk over each node's adjacency list that resolves every
+neighbour's alias.  :func:`use_select` swaps them in the same way
+:func:`use_build` swaps the build:
+
+* ``"reference"`` runs the two oracle steps instead of the shipped ones;
+* ``"check"`` runs both on every call and asserts the same spill choice,
+  the same colors and the same spilled nodes.
 """
 
 from __future__ import annotations
@@ -37,6 +49,7 @@ from repro.allocators.coloring.sweep import build_interference
 from repro.ir.function import Function
 from repro.ir.temp import PhysReg, Temp
 from repro.ir.types import RegClass
+from repro.obs.trace import EventKind
 from repro.target.machine import MachineDescription
 
 
@@ -347,3 +360,154 @@ def use_build(monkeypatch, mode: str) -> None:
     """Make every coloring round in this test run ``mode``'s build."""
     monkeypatch.setattr(george_appel, "build_interference",
                         BUILD_MODES[mode])
+
+
+# ----------------------------------------------------------------------
+# SelectSpill and Select.
+# ----------------------------------------------------------------------
+_ClassColoring = george_appel._ClassColoring
+
+#: The shipped steps, captured before any test patches the class.
+SHIPPED_SELECT_SPILL = _ClassColoring._select_spill
+SHIPPED_ASSIGN_COLORS = _ClassColoring._assign_colors
+
+
+def scan_pick(col) -> int:
+    """The first node of ``spill_wl`` with the least spill metric."""
+    cost = col.cost
+    degree = col.graph.degree
+    is_spill_temp = col.is_spill_temp
+    factor = col.SPILL_TEMP_COST_FACTOR
+
+    def metric(t: int) -> float:
+        c = cost[t]
+        if is_spill_temp[t]:
+            c *= factor
+        return c / max(degree[t], 1)
+
+    return min(col.spill_wl, key=metric)
+
+
+def scan_select_spill(col) -> None:
+    """SelectSpill by a linear scan of the whole spill worklist."""
+    m = scan_pick(col)
+    col.spill_wl.discard(m)
+    col.simplify_wl.add(m)
+    col._freeze_moves(m)
+
+
+def walk_assign_colors(col) -> None:
+    """Select by walking each node's adjacency list."""
+    graph = col.graph
+    nodes = graph.nodes
+    adj_list = graph.adj_list
+    alias = col.alias
+    coalesced = col.coalesced
+    colored = col.colored
+    on_stack = col.on_stack
+    color = col.color
+    color_order_ix = col.color_order_ix
+    n_pre = col.n_pre
+    rounds = col.rounds
+    tr = col.stats.trace
+    resolved = list(range(graph.n))
+    for i in range(graph.n):
+        j = i
+        while coalesced[j]:
+            j = alias[j]
+        resolved[i] = j
+    while col.select_stack:
+        n = col.select_stack.pop()
+        on_stack[n] = 0
+        forbidden = 0
+        for w in adj_list[n]:
+            w = resolved[w]
+            if colored[w] or w < n_pre:
+                forbidden |= 1 << color[w]
+        chosen = -1
+        for c in color_order_ix:
+            if not forbidden >> c & 1:
+                chosen = c
+                break
+        if chosen < 0:
+            col.spilled_nodes.add(n)
+            if tr.enabled:
+                tr.emit(EventKind.EVICT, temp=nodes[n],
+                        detail=f"no color (round {rounds})")
+        else:
+            colored[n] = 1
+            color[n] = chosen
+            if tr.enabled:
+                tr.emit(EventKind.ASSIGN, temp=nodes[n], reg=nodes[chosen],
+                        detail=f"color (round {rounds})")
+
+
+def check_select_spill(col) -> None:
+    """Run the shipped SelectSpill; assert it took the scan's node."""
+    expected = scan_pick(col)
+    before = set(col.spill_wl)
+    SHIPPED_SELECT_SPILL(col)
+    taken = before - set(col.spill_wl)
+    if taken != {expected}:
+        raise AssertionError(
+            f"{col.fn.name}/{col.regclass.name} round {col.rounds}: "
+            f"SelectSpill took {sorted(taken)}, the scan picks {expected}")
+
+
+def check_assign_colors(col) -> None:
+    """Run both Selects from the same state; assert the same result.
+
+    The oracle runs first on the saved state, which is then restored for
+    the shipped step (with tracing on, the events are emitted twice).
+    """
+    saved = (list(col.select_stack), bytearray(col.on_stack),
+             bytearray(col.colored), list(col.color),
+             list(col.spilled_nodes))
+    walk_assign_colors(col)
+    expected = (list(col.colored), list(col.color), list(col.spilled_nodes))
+    stack, on_stack, colored, color, spilled = saved
+    col.select_stack = stack
+    col.on_stack = on_stack
+    col.colored = colored
+    col.color = color
+    col.spilled_nodes = OrderedSet(spilled)
+    SHIPPED_ASSIGN_COLORS(col)
+    got = (list(col.colored), list(col.color), list(col.spilled_nodes))
+    if got != expected:
+        raise AssertionError(
+            f"{col.fn.name}/{col.regclass.name} round {col.rounds}: "
+            "mask Select diverges from the adjacency walk")
+
+
+#: Replacements for ``(_select_spill, _assign_colors)``, by mode name.
+SELECT_MODES = {
+    "shipped": (SHIPPED_SELECT_SPILL, SHIPPED_ASSIGN_COLORS),
+    "reference": (scan_select_spill, walk_assign_colors),
+    "check": (check_select_spill, check_assign_colors),
+}
+
+
+def use_select(monkeypatch, mode: str) -> None:
+    """Make every coloring round in this test run ``mode``'s steps."""
+    select_spill, assign_colors = SELECT_MODES[mode]
+    monkeypatch.setattr(_ClassColoring, "_select_spill", select_spill)
+    monkeypatch.setattr(_ClassColoring, "_assign_colors", assign_colors)
+
+
+def record_spills(monkeypatch) -> list[tuple[str, str, int, list[str]]]:
+    """Record each round's spilled nodes, in the order Select found them.
+
+    Wraps whichever Select is installed now, so call it after
+    :func:`use_select`.  Entries are ``(function, class, round, temps)``.
+    """
+    spills: list[tuple[str, str, int, list[str]]] = []
+    assign_colors = _ClassColoring._assign_colors
+
+    def recording(col) -> None:
+        assign_colors(col)
+        nodes = col.graph.nodes
+        spills.append((col.fn.name, col.regclass.name, col.rounds,
+                       [str(nodes[i]) for i in col.spilled_nodes]))
+
+    monkeypatch.setattr(_ClassColoring, "_assign_colors", recording)
+    return spills

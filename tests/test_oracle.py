@@ -1,7 +1,8 @@
 """The differential oracle on the paths that report allocated code.
 
-``repro serve`` (``allocation_artifact``) and the suite runner
-(``execute_cell``) allocate through ``CompilationSession.checked_run``,
+``repro serve`` (``allocation_artifact``), the suite runner
+(``execute_cell``) and the CLI's ``run`` and ``trace`` commands allocate
+through ``CompilationSession.checked_run``,
 which judges the allocated module's run against the unallocated
 module's with ``repro.sim.machine.mismatch``: output first, then
 ``main``'s returned value.  The allocators below are deliberately
@@ -11,6 +12,7 @@ rather than report (or cache) its figures.
 
 import pytest
 
+from repro.__main__ import main
 from repro.allocators import ALLOCATOR_FACTORIES, SecondChanceBinpacking
 from repro.fuzz.generate import program_for_seed
 from repro.ir.instr import Instr, Op
@@ -107,3 +109,22 @@ def test_suite_quality_record_carries_the_allocated_run_counters():
     assert record["metrics"]["sim.dynamic.instructions"] == \
         record["dynamic_instructions"]
     assert record["metrics"]["sim.dynamic.cycles"] == record["cycles"]
+
+
+#: Prints an int and returns one, so both wrong allocators bite.
+MINIC = "func int main() { int a = 3; print a + 4; return a * 5; }\n"
+
+
+@pytest.mark.parametrize("command", ["run", "trace"])
+def test_cli_refuses_code_that_fails_the_oracle(wrong, command, tmp_path):
+    source = tmp_path / "prog.mc"
+    source.write_text(MINIC)
+    main([command, str(source)])  # the shipped allocator passes
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(source), "--allocator", wrong])
+    # A message as the exit code: the process exits with status 1.
+    message = exc.value.code
+    assert isinstance(message, str)
+    expected = "result" if wrong == "wrong-result" else "output"
+    assert "observable behaviour" in message
+    assert f"{expected} " in message and "!= reference" in message
