@@ -57,7 +57,7 @@ from repro.ir.function import Function
 from repro.ir.instr import Instr, Op, SpillPhase
 from repro.ir.temp import PhysReg, Temp
 from repro.ir.types import RegClass
-from repro.lifetimes.intervals import LifetimeTable, RangeSet
+from repro.lifetimes.intervals import Lifetime, LifetimeTable, RangeSet
 from repro.obs.trace import EventKind
 from repro.spill.emitter import SpillCodeEmitter
 from repro.target.machine import MachineDescription
@@ -107,29 +107,30 @@ class SecondChanceBinpacking(RegisterAllocator):
     # ------------------------------------------------------------------
     # Hole geometry.
     # ------------------------------------------------------------------
-    def _hole_end(self, table: LifetimeTable, reserved: RangeSet,
-                  claim: list[Temp], point: int) -> int:
+    def _hole_end(self, reserved: RangeSet, claim: list[Lifetime],
+                  point: int) -> int:
         """How far past ``point`` a register stays free, given its
-        ``reserved`` ranges and its claimants ``claim``: the next
-        reservation start or occupant resumption, whichever comes first
-        (``_INF`` when neither ever does; ``point`` when the register is
-        unavailable now).  Every claimant's lifetime ends after ``point``:
-        the scan expired the others before asking.
+        ``reserved`` ranges and its claimants' lifetimes ``claim``: the
+        next reservation start or occupant resumption, whichever comes
+        first (``_INF`` when neither ever does; ``point`` when the
+        register is unavailable now).  Every claimant's lifetime ends
+        after ``point``: the scan expired the others before asking.
         """
         nxt = reserved.next_covered_at_or_after(point)
         if nxt == point:
             return point
         end = nxt if nxt is not None else _INF
-        for t in claim:
-            lifetime = table.temps[t]
-            if self.options.use_holes:
+        use_holes = self.options.use_holes
+        for lifetime in claim:
+            if use_holes:
                 resume = lifetime.next_live_at_or_after(point)
             else:
                 # Without hole packing an occupant blocks its whole span.
                 resume = max(lifetime.start, point)
             if resume <= point:
                 return point
-            end = min(end, resume)
+            if resume < end:
+                end = resume
         return end
 
     def _remaining_end(self, table: LifetimeTable, temp: Temp, point: int) -> int:
@@ -143,10 +144,9 @@ class SecondChanceBinpacking(RegisterAllocator):
             return table.temps[temp].remaining(point)
         return RangeSet([(point, self._remaining_end(table, temp, point))])
 
-    def _occupant_ranges(self, table: LifetimeTable, temp: Temp) -> RangeSet:
+    def _occupant_ranges(self, lifetime: Lifetime) -> RangeSet:
         """The ranges an occupant blocks: its live ranges, or its whole
         span when hole packing is disabled."""
-        lifetime = table.temps[temp]
         if self.options.use_holes:
             return lifetime.live
         return RangeSet([(lifetime.start, lifetime.end)])
@@ -155,18 +155,20 @@ class SecondChanceBinpacking(RegisterAllocator):
     # Eviction.
     # ------------------------------------------------------------------
     def _evict(self, state: ScanState, table: LifetimeTable,
-               emitter: SpillCodeEmitter, stats: AllocationStats, temp: Temp,
-               reg: PhysReg, point: int, pre: list[Instr],
-               locked: set[PhysReg], *, allow_move: bool) -> None:
-        """Take ``reg`` away from ``temp`` at ``point`` (Section 2.3/2.5).
+               emitter: SpillCodeEmitter, stats: AllocationStats,
+               lifetime: Lifetime, reg: PhysReg, point: int,
+               pre: list[Instr], locked: int, *, allow_move: bool) -> None:
+        """Take ``reg`` away from the temporary of ``lifetime`` at
+        ``point`` (Section 2.3/2.5).
 
         Emits nothing when the value is dead or in a hole; elides the
         store when memory is consistent (recording the dataflow gen bit);
         otherwise tries the early-second-chance move and falls back to a
-        spill store.
+        spill store.  ``locked`` is the register-index mask of ``reg``'s
+        class that the move may not target.
         """
         tr = stats.trace
-        lifetime = table.temps[temp]
+        temp = lifetime.reg
         if not lifetime.alive_at(point):
             state.displace(temp)
             return
@@ -200,7 +202,7 @@ class SecondChanceBinpacking(RegisterAllocator):
 
     def _find_empty_register(self, state: ScanState, table: LifetimeTable,
                              emitter: SpillCodeEmitter, temp: Temp, point: int,
-                             locked: set[PhysReg]) -> PhysReg | None:
+                             locked: int) -> PhysReg | None:
         """An occupant-free register whose hole holds ``temp``'s remaining
         live ranges (the early-second-chance target search).
 
@@ -215,14 +217,15 @@ class SecondChanceBinpacking(RegisterAllocator):
         """
         machine = table.machine
         remaining = self._remaining_ranges(table, temp, point)
+        claims = state.occupants[temp.regclass]
+        reservations = table.reserved[temp.regclass]
         for reg in emitter.register_order(temp.regclass):
-            if reg in locked:
+            i = reg.index
+            if locked >> i & 1 or claims[i]:
                 continue
             if machine.is_callee_saved(reg) and reg not in state.ever_used:
                 continue
-            if state.occupants_of(reg):
-                continue
-            if table.reserved_for(reg).overlaps(remaining):
+            if reservations[i].overlaps(remaining):
                 continue
             return reg
         return None
@@ -232,9 +235,11 @@ class SecondChanceBinpacking(RegisterAllocator):
     # ------------------------------------------------------------------
     def _find_register(self, state: ScanState, table: LifetimeTable,
                        emitter: SpillCodeEmitter, stats: AllocationStats,
-                       temp: Temp, point: int, locked: set[PhysReg],
+                       temp: Temp, point: int, locked: int,
                        pre: list[Instr]) -> PhysReg:
-        """Choose (and if necessary free up) a register for ``temp``.
+        """Choose (and if necessary free up) a register for ``temp``;
+        ``locked`` is the register-index mask of ``temp``'s class that
+        this instruction already uses.
 
         Ties are broken explicitly on the register index (the lexicographic
         ``(hole size, index)`` keys below), so the same input always yields
@@ -244,35 +249,44 @@ class SecondChanceBinpacking(RegisterAllocator):
         remaining = self._remaining_ranges(table, temp, point)
         claims = state.occupants[temp.regclass]
         reservations = table.reserved[temp.regclass]
+        hole_end_of = self._hole_end
+        occupant_ranges = self._occupant_ranges
         best_fit: PhysReg | None = None
         best_fit_key = (_INF + 1, -1)  # (hole end, register index), minimized
         largest: PhysReg | None = None
         largest_key = (-point, -1)  # (-hole end, register index), minimized
         for reg in emitter.register_order(temp.regclass):
-            if reg in locked:
+            i = reg.index
+            if locked >> i & 1:
                 continue
-            claim, reserved = claims[reg.index], reservations[reg.index]
-            hole_end = self._hole_end(table, reserved, claim, point)
+            claim, reserved = claims[i], reservations[i]
+            if not claim and not reserved:
+                # Never claimed nor reserved: the hole never ends and holds
+                # anything, so only the lowest such index can win.
+                if (_INF, i) < best_fit_key:
+                    best_fit, best_fit_key = reg, (_INF, i)
+                continue
+            hole_end = hole_end_of(reserved, claim, point)
             if hole_end <= point:
                 continue
             # Occupants must never be live while the newcomer is: their
             # resumptions have no eviction event, so an overlap would
             # silently clobber one of the two.
-            if any(self._occupant_ranges(table, other).overlaps(remaining)
-                   for other in claim):
+            if claim and any(occupant_ranges(other).overlaps(remaining)
+                             for other in claim):
                 continue
             if not reserved.overlaps(remaining):
                 # Sufficient: the register is free over every point where
                 # the temporary is live (holes included) — best fit keeps
                 # the smallest such hole (Section 2.2), lowest index on ties.
-                key = (hole_end, reg.index)
+                key = (hole_end, i)
                 if key < best_fit_key:
                     best_fit, best_fit_key = reg, key
             else:
                 # Insufficient only because of a reservation: usable, the
                 # reservation-expiry events will evict (Section 2.5's
                 # "largest insufficiently-large hole"), lowest index on ties.
-                key = (-hole_end, reg.index)
+                key = (-hole_end, i)
                 if key < largest_key:
                     largest, largest_key = reg, key
         chosen = best_fit if best_fit is not None else largest
@@ -297,8 +311,7 @@ class SecondChanceBinpacking(RegisterAllocator):
     def _evict_lowest_priority(self, state: ScanState, table: LifetimeTable,
                                emitter: SpillCodeEmitter,
                                stats: AllocationStats, temp: Temp, point: int,
-                               locked: set[PhysReg],
-                               pre: list[Instr]) -> PhysReg:
+                               locked: int, pre: list[Instr]) -> PhysReg:
         """No free hole: evict the lowest-priority live occupant.
 
         The victim search scans registers in index order and keeps the
@@ -306,26 +319,28 @@ class SecondChanceBinpacking(RegisterAllocator):
         priorities always evict from the lowest-indexed register —
         deterministic across runs and Python versions.
         """
+        claims = state.occupants[temp.regclass]
+        reservations = table.reserved[temp.regclass]
         victim_reg: PhysReg | None = None
-        victim: Temp | None = None
+        victim: Lifetime | None = None
         worst = (float("inf"), -1)  # (priority, register index), minimized
         for reg in emitter.register_order(temp.regclass):
-            if reg in locked or table.reserved_for(reg).covers(point):
+            i = reg.index
+            if locked >> i & 1 or reservations[i].covers(point):
                 continue
-            blocking = [t for t in state.occupants_of(reg)
-                        if table.temps[t].start <= point < table.temps[t].end]
+            blocking = [lt for lt in claims[i] if lt.start <= point < lt.end]
             if not blocking:
                 continue
-            live = [t for t in blocking if table.temps[t].alive_at(point)]
+            live = [lt for lt in blocking if lt.alive_at(point)]
             if live:
                 candidate = live[0]
-                priority = eviction_priority(table, candidate, point)
+                priority = eviction_priority(table, candidate.reg, point)
             else:
                 # Only a hole-resident occupant blocks (possible when hole
                 # packing is disabled): evicting it is free.
                 candidate = blocking[0]
                 priority = -1.0
-            key = (priority, reg.index)
+            key = (priority, i)
             if key < worst:
                 worst, victim, victim_reg = key, candidate, reg
         if victim_reg is None:
@@ -338,8 +353,8 @@ class SecondChanceBinpacking(RegisterAllocator):
         # their claim (no code needed: a hole holds no value).
         remaining = self._remaining_ranges(table, temp, point)
         for claimant in list(state.occupants_of(victim_reg)):
-            if self._occupant_ranges(table, claimant).overlaps(remaining):
-                state.displace(claimant)
+            if self._occupant_ranges(claimant).overlaps(remaining):
+                state.displace(claimant.reg)
         return victim_reg
 
     # ------------------------------------------------------------------
@@ -352,6 +367,15 @@ class SecondChanceBinpacking(RegisterAllocator):
         state = ScanState(table, shared.liveness, shared.cfg)
         opts = self.options
         tr = stats.trace
+        # The registers the convention ever reserves, with their claims
+        # and reserved ranges: GPRs then FPRs, each in index order, so
+        # eviction order is a function of the code, not of occupancy
+        # history.  No other register is ever reclaimed.
+        reclaimable = [
+            (reg, claim, reserved) for cls, claims in state.occupants.items()
+            for reg, claim, reserved in zip(machine.regs(cls), claims,
+                                            table.reserved[cls])
+            if reserved]
 
         with stats.profiler.phase("allocate.scan"):
             for block in fn.blocks:
@@ -366,23 +390,25 @@ class SecondChanceBinpacking(RegisterAllocator):
                     use_point = block_start + 2 * n
                     def_point = use_point + 1
                     pre: list[Instr] = []
-                    locked: set[PhysReg] = set()
+                    # Per class, the mask of register indices this
+                    # instruction already uses.
+                    locked = {RegClass.GPR: 0, RegClass.FPR: 0}
                     state.expire(use_point)
 
                     # 1. Reservation events: convention reclaims registers.
                     self._process_reservations(state, table, emitter, stats,
-                                               use_point, pre, locked)
+                                               use_point, pre, reclaimable)
 
                     # 2. Uses.
                     for i, use in enumerate(instr.uses):
                         if isinstance(use, PhysReg):
-                            locked.add(use)
+                            locked[use.regclass] |= 1 << use.index
                             continue
-                        reg = state.loc.get(use)
+                        reg = state.loc.get(use.id)
                         if reg is None:
-                            reg = self._find_register(state, table, emitter,
-                                                      stats, use, use_point,
-                                                      locked, pre)
+                            reg = self._find_register(
+                                state, table, emitter, stats, use, use_point,
+                                locked[use.regclass], pre)
                             reload = emitter.reload(use, reg, SpillPhase.EVICT)
                             pre.append(reload)
                             if tr.enabled:
@@ -394,7 +420,7 @@ class SecondChanceBinpacking(RegisterAllocator):
                                 # be raised for it.
                                 state.set_consistent(use)
                         instr.uses[i] = reg
-                        locked.add(reg)
+                        locked[reg.regclass] |= 1 << reg.index
 
                     # 3. Defs.  A use that dies here has left its register
                     # by now, so move elimination can hand that register
@@ -402,24 +428,24 @@ class SecondChanceBinpacking(RegisterAllocator):
                     state.expire(def_point)
                     for i, dst in enumerate(instr.defs):
                         if isinstance(dst, PhysReg):
-                            locked.add(dst)
+                            locked[dst.regclass] |= 1 << dst.index
                             continue
-                        reg = state.loc.get(dst)
+                        reg = state.loc.get(dst.id)
                         if (reg is None and opts.move_elimination
                                 and instr.is_move):
                             reg = self._try_move_elimination(
                                 state, table, stats, instr, dst, def_point)
                         if reg is None:
-                            reg = self._find_register(state, table, emitter,
-                                                      stats, dst, def_point,
-                                                      locked, pre)
+                            reg = self._find_register(
+                                state, table, emitter, stats, dst, def_point,
+                                locked[dst.regclass], pre)
                         if tr.enabled and emitter.has_home(dst):
                             # The redefined value's memory home goes stale:
                             # its store back is postponed until eviction.
                             tr.emit(EventKind.SPILL_STORE_POSTPONED,
                                     point=def_point, temp=dst, reg=reg)
                         instr.defs[i] = reg
-                        locked.add(reg)
+                        locked[reg.regclass] |= 1 << reg.index
                         state.clear_consistent(dst)
 
                     rewritten.extend(pre)
@@ -441,25 +467,24 @@ class SecondChanceBinpacking(RegisterAllocator):
         stats.metrics.bump("binpack.scan.consistency_assumptions",
                            state.stat_consistency_assumptions)
 
-    def _process_reservations(self, state: ScanState, table: LifetimeTable,
-                              emitter: SpillCodeEmitter,
-                              stats: AllocationStats, use_point: int,
-                              pre: list[Instr],
-                              locked: set[PhysReg]) -> None:
+    def _process_reservations(
+            self, state: ScanState, table: LifetimeTable,
+            emitter: SpillCodeEmitter, stats: AllocationStats,
+            use_point: int, pre: list[Instr],
+            reclaimable: list[tuple[PhysReg, list[Lifetime], RangeSet]]
+    ) -> None:
         """Evict occupants of registers the convention claims during the
-        current instruction window ``[use_point, use_point + 2)``."""
+        current instruction window ``[use_point, use_point + 2)``; it runs
+        before the instruction locks any register.  ``reclaimable`` lists
+        every register with a reservation, in eviction order."""
         window_end = use_point + 2
-        # GPRs then FPRs, each in index order: eviction order is a
-        # function of the code, not of occupancy history.
-        for cls, claims in state.occupants.items():
-            for reg, claim, reserved in zip(table.machine.regs(cls), claims,
-                                            table.reserved[cls]):
-                if not claim or not reserved.overlaps_interval(use_point,
-                                                               window_end):
-                    continue
-                for temp in list(claim):
-                    self._evict(state, table, emitter, stats, temp, reg,
-                                use_point, pre, locked, allow_move=True)
+        for reg, claim, reserved in reclaimable:
+            if not claim or not reserved.overlaps_interval(use_point,
+                                                           window_end):
+                continue
+            for lifetime in list(claim):
+                self._evict(state, table, emitter, stats, lifetime, reg,
+                            use_point, pre, 0, allow_move=True)
 
     def _try_move_elimination(self, state: ScanState, table: LifetimeTable,
                               stats: AllocationStats, instr: Instr, dst: Temp,
@@ -474,7 +499,7 @@ class SecondChanceBinpacking(RegisterAllocator):
         if table.reserved_for(src).overlaps(remaining):
             return None
         for occupant in state.occupants_of(src):
-            if self._occupant_ranges(table, occupant).overlaps(remaining):
+            if self._occupant_ranges(occupant).overlaps(remaining):
                 return None
         state.place(dst, src)
         stats.moves_eliminated += 1

@@ -6,10 +6,13 @@ The scan tracks, at every linear point:
   register when all but one sit in lifetime holes — Figure 1's ``T3``
   inside ``T1``'s hole).  The register file is one list per register
   class, indexed by ``PhysReg.index``, like RyuJIT's per-register
-  ``RegRecord``; a temporary leaves it for good once, when the scan
-  passes the end of its lifetime (:meth:`ScanState.expire`);
-* each temporary's current location (a register, its memory home, or
-  nowhere during a hole after an eviction);
+  ``RegRecord``, and a claim is the claimant's
+  :class:`~repro.lifetimes.intervals.Lifetime`, so the register search
+  reads hole geometry without a lookup; a temporary leaves the file for
+  good once, when the scan passes the end of its lifetime
+  (:meth:`ScanState.expire`);
+* each temporary's current register, keyed by ``Temp.id`` (absent: its
+  memory home, or nowhere during a hole after an eviction);
 * the ``ARE_CONSISTENT`` working bit vector of Section 2.4 — whether a
   resident temporary's register agrees with its memory home — plus the
   per-block ``WROTE_TR`` (kill) and ``USED_CONSISTENCY`` (gen) masks the
@@ -29,7 +32,7 @@ from repro.cfg.cfg import CFG
 from repro.dataflow.liveness import LivenessInfo
 from repro.ir.temp import PhysReg, Temp
 from repro.ir.types import RegClass
-from repro.lifetimes.intervals import LifetimeTable
+from repro.lifetimes.intervals import Lifetime, LifetimeTable
 
 
 class Mem(enum.Enum):
@@ -65,10 +68,11 @@ class ScanState:
         self.table = table
         self.liveness = liveness
         self.cfg = cfg
-        #: Temporaries with a claim on each register, per class and
-        #: indexed by register index.  At any point at most one occupant
-        #: is live; the rest sit in lifetime holes.
-        self.occupants: dict[RegClass, list[list[Temp]]] = {
+        #: The lifetimes of the temporaries with a claim on each
+        #: register, per class and indexed by register index.  At any
+        #: point at most one occupant is live; the rest sit in lifetime
+        #: holes.
+        self.occupants: dict[RegClass, list[list[Lifetime]]] = {
             cls: [[] for _ in range(table.machine.file_size(cls))]
             for cls in RegClass}
         #: Registers that have ever held a temporary — used to stop the
@@ -76,8 +80,9 @@ class ScanState:
         #: register (and its prologue save/restore pair) into use just to
         #: save one store.
         self.ever_used: set[PhysReg] = set()
-        #: Current register of each temporary (absent/None = not resident).
-        self.loc: dict[Temp, PhysReg] = {}
+        #: Current register of each temporary, by ``Temp.id`` (absent =
+        #: not resident).
+        self.loc: dict[int, PhysReg] = {}
         #: ARE_CONSISTENT working vector (bit ``temp.id``; block-local
         #: bits are dropped at every block boundary).
         self.consistent: int = 0
@@ -97,8 +102,8 @@ class ScanState:
     # ------------------------------------------------------------------
     # Occupancy.
     # ------------------------------------------------------------------
-    def occupants_of(self, reg: PhysReg) -> list[Temp]:
-        """Current claimants of ``reg``."""
+    def occupants_of(self, reg: PhysReg) -> list[Lifetime]:
+        """The lifetimes of ``reg``'s current claimants, in claim order."""
         return self.occupants[reg.regclass][reg.index]
 
     def expire(self, point: int) -> None:
@@ -116,17 +121,18 @@ class ScanState:
         claim = self.occupants[reg.regclass][reg.index]
         if claim:
             self.stat_hole_shares += 1
-        claim.append(temp)
+        claim.append(self.table.temps[temp])
         self.stat_placements += 1
-        self.loc[temp] = reg
+        self.loc[temp.id] = reg
         self.ever_used.add(reg)
 
     def displace(self, temp: Temp) -> None:
         """Remove ``temp``'s claim and residency (it no longer has a
         register; its location is memory or nowhere)."""
-        reg = self.loc.pop(temp, None)
+        reg = self.loc.pop(temp.id, None)
         if reg is not None:
-            self.occupants[reg.regclass][reg.index].remove(temp)
+            self.occupants[reg.regclass][reg.index].remove(
+                self.table.temps[temp])
 
     # ------------------------------------------------------------------
     # Consistency bits (Section 2.3/2.4).
@@ -168,7 +174,7 @@ class ScanState:
         self._used = 0
         self.consistent &= self.liveness.global_mask
         for t in self.liveness.live_in_temps(label):
-            record.top_loc[t] = self.loc.get(t, MEM)
+            record.top_loc[t] = self.loc.get(t.id, MEM)
         return record
 
     def end_block(self, label: str) -> BlockRecord:
@@ -176,7 +182,7 @@ class ScanState:
         ``ARE_CONSISTENT`` copy and the gen/kill masks."""
         record = self.records[label]
         for t in self.liveness.live_out_temps(label):
-            record.bottom_loc[t] = self.loc.get(t, MEM)
+            record.bottom_loc[t] = self.loc.get(t.id, MEM)
         global_mask = self.liveness.global_mask
         record.consistent_at_end = self.consistent & global_mask
         record.wrote_tr = self._wrote & global_mask

@@ -29,9 +29,9 @@ dense integers (precolored registers first, then this round's candidate
 temporaries), so worklist flags are ``bytearray`` lookups, aliases and
 degrees are flat lists, and the live set / adjacency / forbidden-color
 sets are int bitmasks.  ``Temp`` objects appear only at the round's
-boundaries (collecting candidates, rewriting spills, applying colors) —
-the per-operation ``Temp`` hashing that used to dominate the profile is
-gone from every loop that scales with program size.
+boundaries (collecting candidates, rewriting spills, applying colors),
+and even there they are found by ``Temp.id`` in int-keyed tables — no
+loop hashes a register.
 
 The interference build is the sparse interval-sweep kernel
 (:mod:`~repro.allocators.coloring.sweep`).  SelectSpill pops a lazily
@@ -60,8 +60,8 @@ from repro.allocators.coloring.ifgraph import IndexGraph
 from repro.allocators.coloring.orderedset import OrderedSet
 from repro.allocators.coloring.sweep import build_interference
 from repro.ir.function import Function
-from repro.ir.instr import Instr, Op, SpillPhase
-from repro.ir.temp import PhysReg, Temp
+from repro.ir.instr import Instr, SpillPhase
+from repro.ir.temp import Temp
 from repro.ir.types import RegClass
 from repro.obs.trace import EventKind
 from repro.spill.emitter import SpillCodeEmitter
@@ -108,7 +108,8 @@ class _ClassColoring:
         self.caller_saved_mask = 0
         for i in self.caller_saved_ix:
             self.caller_saved_mask |= 1 << i
-        self.spill_generated: set[Temp] = set()
+        #: Ids of the temporaries spill rewriting introduced.
+        self.spill_generated: set[int] = set()
         self.rounds = 0
         self.total_edges = 0
 
@@ -117,7 +118,7 @@ class _ClassColoring:
     # ------------------------------------------------------------------
     def run(self) -> None:
         """Color until no node spills, then rewrite temps to registers."""
-        forced = {t for t in self.emitter.forced_memory(
+        forced = {t.id for t in self.emitter.forced_memory(
                       t for instr in self.fn.instructions()
                       for t in instr.temps())
                   if t.regclass is self.regclass}
@@ -136,27 +137,31 @@ class _ClassColoring:
             if not self.spilled_nodes:
                 break
             nodes = self.graph.nodes
-            self._rewrite_spills({nodes[i] for i in self.spilled_nodes})
+            self._rewrite_spills({nodes[i].id for i in self.spilled_nodes})
         self._apply_colors()
 
     def _init_round(self) -> None:
         # Candidates are the temporaries that *occur in the code* this
         # round — not fn.all_temps(), which also lists parameters whose
         # occurrences a previous round's spill rewriting replaced (such a
-        # ghost would re-seed the live sets and spill forever).
-        present: dict[Temp, None] = {}
+        # ghost would re-seed the live sets and spill forever).  They are
+        # numbered in order of first occurrence (defs before uses), which
+        # breaks ties in the worklists.
+        regclass = self.regclass
+        present: dict[int, Temp] = {}
         for instr in self.fn.instructions():
-            for t in instr.temps():
-                present.setdefault(t, None)
-        self.initial: list[Temp] = [
-            t for t in present if t.regclass is self.regclass]
+            for operands in (instr.defs, instr.uses):
+                for r in operands:
+                    if r.regclass is regclass and isinstance(r, Temp):
+                        present.setdefault(r.id, r)
+        self.initial: list[Temp] = list(present.values())
         self.graph = IndexGraph(self.precolored_regs, self.initial)
         n = self.graph.n
         self.is_spill_temp = bytearray(n)
         if self.spill_generated:
-            nodes = self.graph.nodes
-            for i in range(self.n_pre, n):
-                if nodes[i] in self.spill_generated:
+            spill_generated = self.spill_generated
+            for temp_id, i in self.graph.temp_index.items():
+                if temp_id in spill_generated:
                     self.is_spill_temp[i] = 1
         self.simplify_wl = OrderedSet()
         self.freeze_wl = OrderedSet()
@@ -488,7 +493,9 @@ class _ClassColoring:
                     tr.emit(EventKind.ASSIGN, temp=nodes[n], reg=nodes[chosen],
                             detail=f"color (round {rounds})")
 
-    def _rewrite_spills(self, spilled: set[Temp]) -> None:
+    def _rewrite_spills(self, spilled: set[int]) -> None:
+        """Give each occurrence of a temporary whose id is in ``spilled``
+        a fresh temporary, reloaded before a use and stored after a def."""
         tr = self.stats.trace
         for block in self.fn.blocks:
             if tr.enabled:
@@ -499,12 +506,12 @@ class _ClassColoring:
                 post: list[Instr] = []
                 fresh: dict[Temp, Temp] = {}
                 for i, use in enumerate(instr.uses):
-                    if use in spilled:
+                    if isinstance(use, Temp) and use.id in spilled:
                         t = fresh.get(use)
                         if t is None:
                             t = self.fn.new_temp(self.regclass)
                             fresh[use] = t
-                            self.spill_generated.add(t)
+                            self.spill_generated.add(t.id)
                             pre.append(self.emitter.reload(
                                 use, t, SpillPhase.EVICT))
                             if tr.enabled:
@@ -513,9 +520,9 @@ class _ClassColoring:
                                         detail=f"coloring reload via {t}")
                         instr.uses[i] = t
                 for i, dst in enumerate(instr.defs):
-                    if dst in spilled:
+                    if isinstance(dst, Temp) and dst.id in spilled:
                         t = self.fn.new_temp(self.regclass)
-                        self.spill_generated.add(t)
+                        self.spill_generated.add(t.id)
                         post.append(self.emitter.store(
                             dst, t, SpillPhase.EVICT))
                         if tr.enabled:
@@ -528,7 +535,7 @@ class _ClassColoring:
             block.instrs = rewritten
 
     def _apply_colors(self) -> None:
-        index = self.graph.index
+        temp_index = self.graph.temp_index
         nodes = self.graph.nodes
         alias = self.alias
         coalesced = self.coalesced
@@ -539,7 +546,7 @@ class _ClassColoring:
             for operands in (instr.defs, instr.uses):
                 for i, reg in enumerate(operands):
                     if isinstance(reg, Temp) and reg.regclass is self.regclass:
-                        node = index[reg]
+                        node = temp_index[reg.id]
                         while coalesced[node]:
                             node = alias[node]
                         if colored[node] or node < n_pre:

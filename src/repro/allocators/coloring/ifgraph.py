@@ -33,9 +33,14 @@ class IndexGraph:
     adds, so iteration order is byte-identical to the mask-based oracle
     build kept with the tests.
 
+    A precolored register's index is its hardware index (``precolored``
+    is the whole register file in index order); a temporary's is found
+    by ``Temp.id`` in ``temp_index``, so no lookup hashes a register.
+
     Attributes:
         nodes: All nodes, precolored registers first.
-        index: Node -> dense index (the boundary translation table).
+        temp_index: ``Temp.id`` -> dense index, for the temporaries (the
+            boundary translation table).
         n / n_pre: Total node count and the precolored prefix length.
         adj_mask: Per index, the neighbour set as an int bitmask.
         adj_list: Per index, neighbours in insertion order (precolored
@@ -46,14 +51,15 @@ class IndexGraph:
     #: Effectively-infinite degree for precolored nodes.
     INFINITE = 1 << 30
 
-    __slots__ = ("nodes", "index", "n", "n_pre", "adj_mask", "adj_list",
+    __slots__ = ("nodes", "temp_index", "n", "n_pre", "adj_mask", "adj_list",
                  "degree")
 
     def __init__(self, precolored: list[PhysReg], temps: list[Temp]):
         self.nodes: list[Node] = [*precolored, *temps]
-        self.index: dict[Node, int] = {n: i for i, n in enumerate(self.nodes)}
         self.n = len(self.nodes)
         self.n_pre = len(precolored)
+        self.temp_index: dict[int, int] = {
+            t.id: i for i, t in enumerate(temps, self.n_pre)}
         self.adj_mask: list[int] = [0] * self.n
         self.adj_list: list[list[int]] = [[] for _ in range(self.n)]
         self.degree: list[int] = ([self.INFINITE] * self.n_pre

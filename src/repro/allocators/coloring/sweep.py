@@ -40,6 +40,7 @@ from __future__ import annotations
 from repro.allocators.coloring.orderedset import OrderedSet
 from repro.dataflow.bitvector import translate_mask
 from repro.ir.instr import MOVE_OPS, Op
+from repro.ir.temp import Temp
 
 
 def build_interference(col) -> None:
@@ -55,8 +56,7 @@ def build_interference(col) -> None:
     fn = col.fn
     regclass = col.regclass
     graph = col.graph
-    node_index = graph.index
-    n_pre = graph.n_pre
+    temp_index = graph.temp_index
     liveness = col.shared.liveness
     loops = col.shared.loops
     cost = col.cost
@@ -74,8 +74,8 @@ def build_interference(col) -> None:
     # have no node here and drop to 0 — the paper's "global liveness
     # information is not affected by such temporaries" filtering.
     table = [0] * liveness.global_mask.bit_length()
-    for temp_id, temp in liveness.temps.items():
-        node = node_index.get(temp)
+    for temp_id in liveness.temps:
+        node = temp_index.get(temp_id)
         if node is not None:
             table[temp_id] = 1 << node
 
@@ -83,24 +83,29 @@ def build_interference(col) -> None:
     for block in fn.blocks:
         weight = float(10 ** min(loops.depth_of(block.label), 12))
 
-        # Decode: one forward pass compressing the block to events.
+        # Decode: one forward pass compressing the block to events.  A
+        # precolored register's node is its index (see IndexGraph).
         events = []
         for instr in block.instrs:
             defs = ()
             for r in instr.defs:
                 if r.regclass is regclass:
-                    i = node_index[r]
-                    defs += (i,)
-                    if i >= n_pre:
+                    if isinstance(r, Temp):
+                        i = temp_index[r.id]
                         cost[i] += weight
+                    else:
+                        i = r.index
+                    defs += (i,)
             use_mask = 0
             use_ix = -1
             for r in instr.uses:
                 if r.regclass is regclass:
-                    use_ix = node_index[r]
-                    use_mask |= 1 << use_ix
-                    if use_ix >= n_pre:
+                    if isinstance(r, Temp):
+                        use_ix = temp_index[r.id]
                         cost[use_ix] += weight
+                    else:
+                        use_ix = r.index
+                    use_mask |= 1 << use_ix
             op = instr.op
             if op is call_op:
                 events.append((defs + caller_saved_ix,

@@ -27,9 +27,11 @@ when it has no holder and no reservation over the interval.
 from __future__ import annotations
 
 from bisect import insort
+from operator import itemgetter
 
 from repro.allocators.wholelife import Homes, WholeLifetimeAllocator
 from repro.ir.temp import PhysReg, Temp
+from repro.ir.types import RegClass
 from repro.lifetimes.intervals import LifetimeTable, RangeSet
 from repro.spill.emitter import SpillCodeEmitter
 
@@ -49,37 +51,42 @@ class PolettoLinearScan(WholeLifetimeAllocator):
 
     def sweep(self, table: LifetimeTable, emitter: SpillCodeEmitter,
               demoted: set[Temp]) -> Homes:
-        def end_of(temp: Temp) -> int:
-            return table.temps[temp].end
-
-        order = sorted((t for t in table.temps
-                        if isinstance(t, Temp) and t not in demoted),
-                       key=lambda t: (table.temps[t].start, t.id))
+        # Intervals as ``(start, id, end, temp)``, in scan order.  The
+        # active list holds ``(end, seq, temp, register)`` sorted by end;
+        # ``seq`` (the scan position) places a newcomer after the active
+        # intervals ending with it.  ``held[cls][i]`` says whether register
+        # ``i`` of ``cls`` holds an active interval.
+        order = sorted((lifetime.start, temp.id, lifetime.end, temp)
+                       for temp, lifetime in table.temps.items()
+                       if temp not in demoted)
         homes: Homes = {}
-        active: list[Temp] = []  # kept sorted by interval end
-        holder: dict[PhysReg, Temp] = {}  # register -> its active interval
-        for temp in order:
-            start, end = table.temps[temp].start, end_of(temp)
-            while active and end_of(active[0]) <= start:
-                del holder[homes[active.pop(0)]]
-            regs = emitter.register_order(temp.regclass,
-                                          prefer_caller_saved=True)
-            reg = next((r for r in regs if r not in holder
-                        and not table.reserved_for(r)
-                        .overlaps_interval(start, end)), None)
+        active: list[tuple[int, int, Temp, PhysReg]] = []
+        held = {cls: [False] * table.machine.file_size(cls)
+                for cls in RegClass}
+        for seq, (start, _, end, temp) in enumerate(order):
+            while active and active[0][0] <= start:
+                reg = active.pop(0)[3]
+                held[reg.regclass][reg.index] = False
+            cls = temp.regclass
+            busy, reserved = held[cls], table.reserved[cls]
+            regs = emitter.register_order(cls, prefer_caller_saved=True)
+            reg = next((r for r in regs if not busy[r.index]
+                        and not reserved[r.index].overlaps_interval(start,
+                                                                    end)),
+                       None)
             if reg is None:
                 # Pressure: spill the furthest-ending compatible active
                 # interval, or this one.
                 victim = max((a for a in active
-                              if a.regclass is temp.regclass
-                              and not table.reserved_for(homes[a])
+                              if a[2].regclass is cls
+                              and not reserved[a[3].index]
                               .overlaps_interval(start, end)),
-                             key=end_of, default=None)
-                if victim is None or end_of(victim) <= end:
+                             key=itemgetter(0), default=None)
+                if victim is None or victim[0] <= end:
                     continue  # temp itself stays memory-resident
-                reg = homes.pop(victim)
+                reg = homes.pop(victim[2])
                 active.remove(victim)
             homes[temp] = reg
-            holder[reg] = temp
-            insort(active, temp, key=end_of)
+            busy[reg.index] = True
+            insort(active, (end, seq, temp, reg))
         return homes

@@ -40,6 +40,7 @@ from repro.allocators.base import (
 from repro.ir.function import Function
 from repro.ir.instr import Instr, SpillPhase
 from repro.ir.temp import PhysReg, Temp
+from repro.ir.types import RegClass
 from repro.lifetimes.intervals import LifetimeTable, RangeSet
 from repro.obs.trace import EventKind
 from repro.spill.emitter import SpillCodeEmitter
@@ -96,32 +97,35 @@ class WholeLifetimeAllocator(RegisterAllocator):
         first_fit = homes is None
         if first_fit:
             homes = {}
-        # Per register: the spans of its homes, and the read points of
-        # its scratch windows (in walk order, so sorted).
-        home_spans: dict[PhysReg, list[RangeSet]] = {}
-        windows: dict[PhysReg, list[int]] = {}
+        # Per register class and register index: the spans of the
+        # register's homes, and the read points of its scratch windows
+        # (in walk order, so sorted).
+        home_spans = {cls: [[] for _ in regs]
+                      for cls, regs in table.reserved.items()}
+        windows = {cls: [[] for _ in regs]
+                   for cls, regs in table.reserved.items()}
         for temp, reg in homes.items():
-            home_spans.setdefault(reg, []).append(spans[temp])
+            home_spans[reg.regclass][reg.index].append(spans[temp])
         homeless = set(demoted)
         scratch: Scratch = {}
 
-        def home_fits(reg: PhysReg, live: RangeSet) -> bool:
-            if table.reserved_for(reg).overlaps(live):
+        def home_fits(cls: RegClass, i: int, live: RangeSet) -> bool:
+            if table.reserved[cls][i].overlaps(live):
                 return False
-            if any(other.overlaps(live) for other in home_spans.get(reg, ())):
+            if any(other.overlaps(live) for other in home_spans[cls][i]):
                 return False
-            points = windows.get(reg, ())
+            points = windows[cls][i]
             first = bisect_left(points, live.start - 1)
             return not any(live.overlaps_interval(p, p + 2)
                            for p in points[first:])
 
-        def window_free(reg: PhysReg, start: int, end: int) -> bool:
+        def window_free(cls: RegClass, i: int, start: int, end: int) -> bool:
             # Earlier windows end by ``start``; this instruction's own are
-            # locked, so only reservations and homes can occupy ``reg``.
-            if table.reserved_for(reg).overlaps_interval(start, end):
+            # locked, so only reservations and homes can occupy ``i``.
+            if table.reserved[cls][i].overlaps_interval(start, end):
                 return False
             return not any(other.overlaps_interval(start, end)
-                           for other in home_spans.get(reg, ()))
+                           for other in home_spans[cls][i])
 
         for n, instr in enumerate(fn.instructions()):
             start, end = 2 * n, 2 * n + 2
@@ -131,29 +135,36 @@ class WholeLifetimeAllocator(RegisterAllocator):
                     if temp in homes or temp in homeless:
                         continue
                     live = spans[temp]
-                    regs = emitter.register_order(temp.regclass,
+                    cls = temp.regclass
+                    regs = emitter.register_order(cls,
                                                   prefer_caller_saved=True)
-                    reg = next((r for r in regs if home_fits(r, live)), None)
+                    reg = next((r for r in regs
+                                if home_fits(cls, r.index, live)), None)
                     if reg is None:
                         homeless.add(temp)
                         continue
                     homes[temp] = reg
-                    home_spans.setdefault(reg, []).append(live)
-            locked = {r for r in instr.regs() if isinstance(r, PhysReg)}
-            locked.update(homes[t] for t in temps if t in homes)
+                    home_spans[cls][reg.index].append(live)
+            # Per class, the mask of register indices the instruction uses.
+            locked = {RegClass.GPR: 0, RegClass.FPR: 0}
+            for r in instr.regs():
+                reg = homes.get(r) if isinstance(r, Temp) else r
+                if reg is not None:
+                    locked[reg.regclass] |= 1 << reg.index
             for temp in temps:
                 if temp in homes or (instr, temp) in scratch:
                     continue
-                regs = emitter.register_order(temp.regclass,
-                                              prefer_caller_saved=True)
-                reg = next((r for r in regs if r not in locked
-                            and window_free(r, start, end)), None)
+                cls = temp.regclass
+                mask = locked[cls]
+                regs = emitter.register_order(cls, prefer_caller_saved=True)
+                reg = next((r for r in regs if not mask >> r.index & 1
+                            and window_free(cls, r.index, start, end)), None)
                 if reg is None:
                     return homes, scratch, self._victim(table, spans, homes,
                                                         temp, start)
                 scratch[(instr, temp)] = reg
-                locked.add(reg)
-                windows.setdefault(reg, []).append(start)
+                locked[cls] = mask | 1 << reg.index
+                windows[cls][reg.index].append(start)
         return homes, scratch, None
 
     def _victim(self, table: LifetimeTable, spans: dict[Temp, RangeSet],

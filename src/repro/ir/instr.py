@@ -90,6 +90,10 @@ class Op(enum.Enum):
     PRINT = "print"  # one use, either class
     NOP = "nop"
 
+    # The identity hash, as on RegClass: ``OP_INFO[op]`` and ``MOVE_OPS``
+    # are looked up per instruction.
+    __hash__ = object.__hash__
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Op.{self.name}"
 
@@ -100,6 +104,8 @@ class SpillPhase(enum.Enum):
     EVICT = "evict"  # inserted during the linear scan / coloring spill phase
     RESOLVE = "resolve"  # inserted during binpacking's resolution pass
     PROLOGUE = "prologue"  # callee-saved save/restore (not candidate spill)
+
+    __hash__ = object.__hash__  # keys the spill counts (see RegClass)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SpillPhase.{self.name}"
@@ -112,6 +118,8 @@ class SpillKind(enum.Enum):
     STORE = "store"
     MOVE = "move"
     REMAT = "remat"  # constant re-issued in place of a reload from memory
+
+    __hash__ = object.__hash__  # keys the spill counts (see RegClass)
 
 
 @dataclass(frozen=True)

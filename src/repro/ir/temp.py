@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 
 from repro.ir.types import RegClass
 
+_FPR = RegClass.FPR
+
 
 @dataclass(frozen=True, order=True)
 class Temp:
@@ -32,6 +34,12 @@ class Temp:
     regclass: RegClass
     id: int
     name: str | None = field(default=None, compare=False)
+
+    def __hash__(self) -> int:
+        # Ids are unique per function across both classes, so the id alone
+        # spreads a function's temps over distinct hashes; no tuple, no
+        # enum call.  Equal temps have equal ids, whatever their names.
+        return self.id
 
     def __str__(self) -> str:
         base = f"{self.regclass.prefix}{self.id}"
@@ -54,6 +62,10 @@ class PhysReg:
 
     regclass: RegClass
     index: int
+
+    def __hash__(self) -> int:
+        # Negative, so a register never shares a hash with a temp.
+        return -2 - (self.index << 1 | (self.regclass is _FPR))
 
     def __str__(self) -> str:
         prefix = "r" if self.regclass is RegClass.GPR else "f"
@@ -86,12 +98,3 @@ class StackSlot:
 #: Union of the two kinds of register operand an instruction slot may hold.
 Reg = Temp | PhysReg
 
-
-def is_temp(reg: Reg) -> bool:
-    """True when ``reg`` is an (unallocated) temporary."""
-    return isinstance(reg, Temp)
-
-
-def is_phys(reg: Reg) -> bool:
-    """True when ``reg`` is a physical machine register."""
-    return isinstance(reg, PhysReg)

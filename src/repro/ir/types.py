@@ -1,4 +1,4 @@
-"""Register classes and small shared type helpers for the IR.
+"""Register classes for the IR.
 
 The target machine (see :mod:`repro.target`) has two disjoint register
 files, as the Digital Alpha did: general-purpose integer registers and
@@ -26,6 +26,11 @@ class RegClass(enum.Enum):
     GPR = "gpr"
     FPR = "fpr"
 
+    #: Members are singletons (pickling returns the same member), so the
+    #: C-level identity hash is sound, and much cheaper than ``Enum``'s
+    #: Python-level ``hash(self._name_)`` on every register-keyed lookup.
+    __hash__ = object.__hash__
+
     def __lt__(self, other: "RegClass") -> bool:
         # Orderable so registers (whose first sort field is their class)
         # sort deterministically in worklists: GPR before FPR.
@@ -40,8 +45,3 @@ class RegClass(enum.Enum):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RegClass.{self.name}"
-
-
-def zero_value(cls: RegClass) -> int | float:
-    """The default (uninitialized) runtime value for a register class."""
-    return 0 if cls is RegClass.GPR else 0.0

@@ -30,6 +30,10 @@ from typing import IO, Iterable, Iterator
 class EventKind(enum.Enum):
     """The allocation-event taxonomy (see docs/OBSERVABILITY.md)."""
 
+    #: Keys the per-kind event counts; the identity hash, as on
+    #: :class:`~repro.ir.types.RegClass`.
+    __hash__ = object.__hash__
+
     #: A temporary was given a register (any allocator).
     ASSIGN = "assign"
     #: A live temporary lost its register (scan eviction or coloring spill).

@@ -283,11 +283,11 @@ def scaled_module(n_candidates: int, seed: int = 0, *,
 
     Candidates are minted in overlapping groups of ``group`` long-lived
     values that are summed much later.  By default the group size grows
-    with ``n_candidates`` (≈ ``n**0.55``), mirroring the paper's data
-    where interference density rises with module size (espresso's 245
-    candidates average ~4 edges each, fpppp's 6697 average ~17) — the
-    regime where Table 3 shows coloring's repeated graph construction
-    dominating while the linear scan stays linear.
+    with ``n_candidates`` (``max(12, int(n ** 0.5))``), mirroring the
+    paper's data where interference density rises with module size
+    (espresso's 245 candidates average ~4 edges each, fpppp's 6697
+    average ~17) — the regime where Table 3 shows coloring's repeated
+    graph construction dominating while the linear scan stays linear.
     """
     rng = random.Random(seed)
     if group is None:

@@ -41,6 +41,7 @@ neighbour's alias.  :func:`use_select` swaps them in the same way
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from repro.allocators.coloring import george_appel
 from repro.allocators.coloring.ifgraph import Node
@@ -264,6 +265,14 @@ def reference_build(fn: Function, machine: MachineDescription, shared,
     return ReferenceBuild(graph, cost, move_list, worklist_moves)
 
 
+def _node_index(graph, node: Node) -> int:
+    """The shipped graph's dense index of ``node``: a precolored
+    register's is its register index, a temporary's is keyed by id."""
+    if isinstance(node, Temp):
+        return graph.temp_index[node.id]
+    return node.index
+
+
 def adopt_reference(col, ref: ReferenceBuild) -> None:
     """Continue a coloring round from the oracle's build.
 
@@ -273,21 +282,21 @@ def adopt_reference(col, ref: ReferenceBuild) -> None:
     its inputs.
     """
     graph = col.graph
-    index = graph.index
+    index = partial(_node_index, graph)
     graph.adj_mask = list(ref.graph.adj_mask)
     for node, neighbours in ref.graph.adj_list.items():
-        graph.adj_list[index[node]] = [index[m] for m in neighbours]
+        graph.adj_list[index(node)] = [index(m) for m in neighbours]
     for node, degree in ref.graph.degree.items():
-        graph.degree[index[node]] = degree
+        graph.degree[index(node)] = degree
     for temp, value in ref.cost.items():
-        col.cost[index[temp]] = value
+        col.cost[index(temp)] = value
     move_id: dict = {}
     for instr in ref.worklist_moves:
         move_id[instr] = len(col.moves)
-        col.moves.append((instr, index[instr.defs[0]], index[instr.uses[0]]))
+        col.moves.append((instr, index(instr.defs[0]), index(instr.uses[0])))
         col.worklist_moves.add(move_id[instr])
     for node, instrs in ref.move_list.items():
-        col.move_list[index[node]] = OrderedSet(move_id[m] for m in instrs)
+        col.move_list[index(node)] = OrderedSet(move_id[m] for m in instrs)
 
 
 def assert_matches_reference(col, ref: ReferenceBuild) -> None:
@@ -298,7 +307,7 @@ def assert_matches_reference(col, ref: ReferenceBuild) -> None:
     lists, and the move worklist's discovery order.
     """
     graph = col.graph
-    index = graph.index
+    index = partial(_node_index, graph)
     name = f"{col.fn.name}/{col.regclass.name}"
     if graph.adj_mask != ref.graph.adj_mask:
         bad = [i for i, (a, b) in enumerate(zip(graph.adj_mask,
@@ -307,26 +316,26 @@ def assert_matches_reference(col, ref: ReferenceBuild) -> None:
             f"{name}: sweep edge set diverges from oracle at nodes "
             f"{[graph.nodes[i] for i in bad[:5]]}")
     for node, neighbours in ref.graph.adj_list.items():
-        ni = index[node]
-        expected = [index[m] for m in neighbours]
+        ni = index(node)
+        expected = [index(m) for m in neighbours]
         if graph.adj_list[ni] != expected:
             raise AssertionError(
                 f"{name}: adjacency order of {node} diverges: "
                 f"sweep {graph.adj_list[ni][:8]} vs oracle {expected[:8]}")
     for node, degree in ref.graph.degree.items():
-        if graph.degree[index[node]] != degree:
+        if graph.degree[index(node)] != degree:
             raise AssertionError(
-                f"{name}: degree of {node} is {graph.degree[index[node]]}, "
+                f"{name}: degree of {node} is {graph.degree[index(node)]}, "
                 f"oracle says {degree}")
     for temp, value in ref.cost.items():
-        if col.cost[index[temp]] != value:
+        if col.cost[index(temp)] != value:
             raise AssertionError(
-                f"{name}: spill cost of {temp} is {col.cost[index[temp]]!r}, "
+                f"{name}: spill cost of {temp} is {col.cost[index(temp)]!r}, "
                 f"oracle says {value!r}")
     sweep_moves = [col.moves[m][0] for m in col.worklist_moves]
     if sweep_moves != list(ref.worklist_moves):
         raise AssertionError(f"{name}: move worklist order diverges")
-    ref_lists = {index[node]: [instr for instr in instrs]
+    ref_lists = {index(node): [instr for instr in instrs]
                  for node, instrs in ref.move_list.items()}
     sweep_lists = {node: [col.moves[m][0] for m in ids]
                    for node, ids in col.move_list.items()}

@@ -1,13 +1,19 @@
-"""Allocation output must not depend on Python's hash randomization.
+"""Allocation output must not depend on hash values or set order.
 
 The binpack register-selection loops (``_find_register`` /
 ``_find_empty_register``) iterate over set-like structures; without a
 stable tie-break on register index, two runs of the same compilation
 could pick different (equally valid) registers depending on
 ``PYTHONHASHSEED``.  That breaks reproducible builds, trace diffing, and
-the fuzzer's shrink predicate.  This test compiles the same programs in
-subprocesses under different hash seeds and compares the printed
+the fuzzer's shrink predicate.  These tests compile the same programs in
+subprocesses under different hash seeds and compare the printed
 allocated modules byte for byte.
+
+``Temp`` and ``PhysReg`` hash to fixed integers, which no hash seed
+changes, so a second check re-runs the programs with both hashes
+replaced by a scrambled (but equality-consistent) function: a set of
+temps or registers then iterates in a different order, and any output
+that depends on that order changes.
 """
 
 from __future__ import annotations
@@ -19,18 +25,24 @@ import sys
 import pytest
 
 _PROGRAM = """
-import copy
 from repro.allocators.base import allocate_module
 from repro.allocators import (GraphColoring, PolettoLinearScan,
                               SecondChanceBinpacking, TwoPassBinpacking)
 from repro.ir.printer import print_module
 from repro.passes.dce import eliminate_dead_code_module
-from repro.target import tiny
-from repro.workloads.synthetic import random_module
+from repro.target import alpha, tiny
+from repro.workloads.synthetic import random_module, scaled_module
 
 from repro.spill import AllocationContext
 
-machine = tiny(5, 5)
+small, wide = tiny(5, 5), alpha()
+# (label, machine, module factory): random programs under pressure, and
+# a Table-3-shaped straight-line module whose register searches run
+# through every register-keyed structure of the scans.
+programs = (("seed=0", small, lambda: random_module(0, small, size=35)),
+            ("seed=3", small, lambda: random_module(3, small, size=35)),
+            ("scaled=245/2/30", wide,
+             lambda: scaled_module(245, 2, group=30)))
 contexts = (AllocationContext(),
             AllocationContext(remat=True),
             AllocationContext(stress="shuffle", seed=7),
@@ -40,21 +52,34 @@ for name, make in (("second-chance", SecondChanceBinpacking),
                    ("two-pass", TwoPassBinpacking),
                    ("coloring", GraphColoring),
                    ("poletto", PolettoLinearScan)):
-    for seed in (0, 3):
+    for label, machine, build in programs:
         for context in contexts:
-            module = random_module(seed, machine, size=35)
+            module = build()
             eliminate_dead_code_module(module)
             allocate_module(module, make(), machine, context=context)
-            print(f"=== {name} seed={seed} ctx={context.describe()} ===")
+            print(f"=== {name} {label} ctx={context.describe()} ===")
             print(print_module(module))
 """
 
+#: Prepended to ``_PROGRAM``: before any other ``repro`` module is
+#: imported (so import-time tables hash the same way), both register
+#: hashes become a multiplicative scramble of the fields equality
+#: compares, so equal registers still hash equal.
+_SCRAMBLED_HASHES = """
+from repro.ir.temp import PhysReg, Temp
 
-def _compile_under_hash_seed(hash_seed: str) -> str:
+_P = 2**61 - 1
+Temp.__hash__ = lambda t: t.id * 0x9E3779B97F4A7C15 % _P
+PhysReg.__hash__ = lambda r: ((2 * r.index + (r.regclass.value == "fpr") + 1)
+                              * 0xC2B2AE3D27D4EB4F % _P)
+"""
+
+
+def _run_program(source: str, hash_seed: str = "0") -> str:
     env = dict(os.environ)
     env["PYTHONHASHSEED"] = hash_seed
     env["PYTHONPATH"] = "src"
-    proc = subprocess.run([sys.executable, "-c", _PROGRAM],
+    proc = subprocess.run([sys.executable, "-c", source],
                           capture_output=True, text=True, env=env,
                           cwd=os.path.dirname(os.path.dirname(__file__)))
     assert proc.returncode == 0, proc.stderr
@@ -63,13 +88,24 @@ def _compile_under_hash_seed(hash_seed: str) -> str:
 
 @pytest.mark.parametrize("other_seed", ["1", "424242"])
 def test_allocation_is_hash_seed_independent(other_seed):
-    baseline = _compile_under_hash_seed("0")
+    baseline = _run_program(_PROGRAM, "0")
     assert "===" in baseline
     # The subprocess program covers every allocator under the default,
     # remat, and all three seeded stress contexts, so this asserts that
     # the stress RNG derivation is hash-seed independent too.
     assert "ctx=stress=shuffle" in baseline
-    assert _compile_under_hash_seed(other_seed) == baseline
+    assert _run_program(_PROGRAM, other_seed) == baseline
+
+
+def test_allocation_is_register_hash_independent():
+    """Scrambled ``Temp``/``PhysReg`` hashes reorder every set of temps
+    or registers; every allocator, context and program must still print
+    the same module text."""
+    baseline = _run_program(_PROGRAM)
+    assert baseline.count("===") == 4 * 3 * 5 * 2
+    assert "scaled=245/2/30 ctx=stress=forced-evict" in baseline
+    scrambled = _run_program(_SCRAMBLED_HASHES + _PROGRAM)
+    assert scrambled.split("=== ") == baseline.split("=== ")
 
 
 def _allocated_text(allocator_name, context):

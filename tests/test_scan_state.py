@@ -13,6 +13,11 @@ from repro.target import tiny
 G = RegClass.GPR
 
 
+def claimants(state, reg):
+    """The temporaries with a claim on ``reg``, in claim order."""
+    return [lifetime.reg for lifetime in state.occupants_of(reg)]
+
+
 def make_state():
     """A state over a small two-block function with one global temp."""
     fn = Function("f")
@@ -34,28 +39,28 @@ class TestOccupancy:
         state, x, _ = make_state()
         reg = PhysReg(G, 2)
         state.place(x, reg)
-        assert state.loc[x] == reg
-        assert state.occupants_of(reg) == [x]
+        assert state.loc[x.id] == reg
+        assert claimants(state, reg) == [x]
         assert reg in state.ever_used
         state.displace(x)
-        assert x not in state.loc
-        assert state.occupants_of(reg) == []
+        assert x.id not in state.loc
+        assert claimants(state, reg) == []
 
     def test_expire_at_end_drops_claim_and_location(self):
         state, x, _ = make_state()
         reg = PhysReg(G, 2)
         state.place(x, reg)
         state.expire(state.table.temps[x].end)
-        assert state.occupants_of(reg) == []
-        assert x not in state.loc
+        assert claimants(state, reg) == []
+        assert x.id not in state.loc
 
     def test_expire_at_start_keeps_occupant(self):
         state, x, _ = make_state()
         reg = PhysReg(G, 2)
         state.place(x, reg)
         state.expire(state.table.temps[x].start)
-        assert state.occupants_of(reg) == [x]
-        assert state.loc[x] == reg
+        assert claimants(state, reg) == [x]
+        assert state.loc[x.id] == reg
 
     def test_displaced_and_placed_again_expires_once(self):
         state, x, y = make_state()
@@ -67,19 +72,19 @@ class TestOccupancy:
         end = state.table.temps[x].end
         assert state.table.temps[y].end > end
         state.expire(end)
-        assert state.occupants_of(first) == [y]
-        assert state.occupants_of(second) == []
-        assert x not in state.loc
+        assert claimants(state, first) == [y]
+        assert claimants(state, second) == []
+        assert x.id not in state.loc
 
     def test_multiple_claimants(self):
         state, x, y = make_state()
         reg = PhysReg(G, 2)
         state.place(x, reg)
         state.place(y, reg)
-        assert state.occupants_of(reg) == [x, y]
+        assert claimants(state, reg) == [x, y]
         state.displace(x)
-        assert state.occupants_of(reg) == [y]
-        assert state.loc[y] == reg
+        assert claimants(state, reg) == [y]
+        assert state.loc[y.id] == reg
 
 
 class TestConsistencyBits:
