@@ -67,11 +67,6 @@ class CFG:
         """Number of distinct predecessors."""
         return len(self.preds[label])
 
-    def is_critical(self, pred: str, succ: str) -> bool:
-        """True when the edge has a multi-successor tail *and* multi-
-        predecessor head, so code placed on it must get its own block."""
-        return self.out_degree(pred) > 1 and self.in_degree(succ) > 1
-
     def reachable(self) -> set[str]:
         """Labels reachable from the entry block."""
         seen = {self.entry}

@@ -73,12 +73,3 @@ class DominatorTree:
         while index.get(node, -1) > floor:
             node = self.idom[node]
         return node == a
-
-    def dominators_of(self, label: str) -> list[str]:
-        """The dominators of ``label``, from itself up to the entry."""
-        chain = [label]
-        node = label
-        while self.idom.get(node, node) != node:
-            node = self.idom[node]
-            chain.append(node)
-        return chain

@@ -43,10 +43,6 @@ class FunctionBuilder:
         self.current = block
         return block
 
-    def switch_to(self, block: BasicBlock) -> None:
-        """Make ``block`` the emission target."""
-        self.current = block
-
     def emit(self, instr: Instr) -> Instr:
         """Append a prebuilt instruction to the current block."""
         if self.current is None:
@@ -143,9 +139,6 @@ class FunctionBuilder:
 
     def neg(self, src: Reg, dst: Reg | None = None) -> Reg:
         return self._unop(Op.NEG, src, dst, G)
-
-    def not_(self, src: Reg, dst: Reg | None = None) -> Reg:
-        return self._unop(Op.NOT, src, dst, G)
 
     # ------------------------------------------------------------------
     # Floating-point arithmetic and comparisons.

@@ -55,10 +55,6 @@ class Function:
         self._next_temp_id += 1
         return temp
 
-    def temp_count(self) -> int:
-        """Upper bound (exclusive) on temporary ids in this function."""
-        return self._next_temp_id
-
     def note_temp_ids(self) -> None:
         """Bump the id counter past every temporary appearing in the code.
 

@@ -284,19 +284,6 @@ class Instr:
         """All operands that are still temporaries."""
         return [r for r in self.regs() if isinstance(r, Temp)]
 
-    def replace_reg(self, old: Reg, new: Reg) -> int:
-        """Replace every occurrence of ``old`` in defs and uses with ``new``.
-
-        Returns the number of operand slots rewritten.
-        """
-        count = 0
-        for operands in (self.defs, self.uses):
-            for i, r in enumerate(operands):
-                if r == old:
-                    operands[i] = new
-                    count += 1
-        return count
-
     def copy(self) -> "Instr":
         """A deep-enough copy: fresh operand/target lists, shared atoms."""
         return Instr(

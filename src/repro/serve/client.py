@@ -84,15 +84,6 @@ class ServeClient:
                              err.get("message", "unknown failure"))
         return response
 
-    def send_raw(self, payload: bytes) -> dict:
-        """Ship arbitrary bytes (tests poke the protocol with these) and
-        read back whatever document the server answers with."""
-        self._sock.sendall(payload)
-        line = self._reader.readline(MAX_LINE_BYTES + 1)
-        if not line:
-            raise ConnectionError("server closed the connection")
-        return json.loads(line)
-
     # ------------------------------------------------------------------
     # Convenience ops.
     # ------------------------------------------------------------------

@@ -62,11 +62,6 @@ class AllocationContext:
                              f"choose from {', '.join(STRESS_MODES)}")
 
     @property
-    def is_default(self) -> bool:
-        """True when this context cannot change any allocator's output."""
-        return not self.remat and self.stress == "none"
-
-    @property
     def stressed(self) -> bool:
         return self.stress != "none"
 

@@ -122,10 +122,6 @@ class MachineDescription:
         """Whether ``reg`` must be preserved across calls."""
         return reg in self._callee_set
 
-    def is_caller_saved(self, reg: PhysReg) -> bool:
-        """Whether ``reg`` may be clobbered by calls."""
-        return reg not in self._callee_set
-
     def __str__(self) -> str:
         return self.name
 

@@ -1,10 +1,13 @@
 """Force one execution tier of :mod:`repro.sim.machine`.
 
-The simulator runs a segment through its decoded handlers (cold) until
-``HOT_THRESHOLD`` entries, then as generated code (hot).  One-shot test
-programs never reach the threshold, so differential tests pin the
-constant instead: ``hot`` compiles every segment at its first entry,
-``cold`` never compiles one.
+The simulator runs a segment as one call per instruction to its shape's
+cold function (compiled once per (opcode, operand kinds) and reading
+the instruction's indices, immediates and messages from an args tuple)
+until ``HOT_THRESHOLD`` entries, then as one generated function with
+the same templates and the args inlined (hot).  One-shot test programs
+never reach the threshold, so differential tests pin the constant
+instead: ``hot`` compiles every segment at its first entry, ``cold``
+never compiles one.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ import pytest
 
 from repro.ir.builder import FunctionBuilder
 from repro.ir.function import Function
-from repro.ir.instr import Op
+from repro.ir.instr import Op, make
 from repro.ir.temp import PhysReg, StackSlot, Temp
 from repro.ir.types import RegClass
 from repro.ir.validate import validate_function
@@ -51,7 +51,8 @@ class TestEmitters:
         assert f.regclass is F
         assert builder.ftoi(f).regclass is G
         assert builder.neg(i).regclass is G
-        assert builder.not_(i).regclass is G
+        assert builder.emit(make(Op.NOT, defs=[builder.temp(G)],
+                                 uses=[i])).defs[0].regclass is G
         builder.ret()
         validate_function(builder.fn)
 
@@ -103,9 +104,15 @@ class TestEmitters:
         assert calls[1].uses == [] and calls[1].defs == []
 
     def test_switch_to_reopens_block(self, builder):
+        """Emission follows ``current``: a block opened earlier takes
+        instructions again once it is current, without moving in the
+        layout."""
         entry = builder.current
-        builder.jmp("next")
         other = builder.new_block("next")
-        builder.switch_to(other)
+        builder.current = entry
+        builder.jmp("next")
+        builder.current = other
         builder.ret()
         assert builder.fn.blocks == [entry, other]
+        assert [i.op for i in entry.instrs] == [Op.JMP]
+        assert [i.op for i in other.instrs] == [Op.RET]

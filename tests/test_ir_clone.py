@@ -13,6 +13,7 @@ import time
 
 from repro.ir.instr import Instr, Op
 from repro.ir.printer import print_module
+from repro.ir.types import RegClass
 from repro.lang import compile_minic
 from repro.sim import simulate
 from repro.sim.machine import outputs_equal
@@ -58,8 +59,10 @@ class TestCloneFaithful:
         assert clone.globals == module.globals
         assert clone.heap_size == module.heap_size
         for name, fn in module.functions.items():
-            assert clone.functions[name].temp_count() == fn.temp_count()
+            # The clone mints the id the original would mint next.
             assert clone.functions[name].params == fn.params
+            assert (clone.functions[name].new_temp(RegClass.GPR).id
+                    == fn.new_temp(RegClass.GPR).id)
 
 
 class TestCloneIndependent:

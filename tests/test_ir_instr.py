@@ -97,12 +97,6 @@ class TestOperandAccess:
         assert instr.regs() == [t(1), PhysReg(G, 3)]
         assert instr.temps() == [t(1)]
 
-    def test_replace_reg_rewrites_all_slots(self):
-        instr = make(Op.ADD, defs=[t(0)], uses=[t(1), t(1)])
-        count = instr.replace_reg(t(1), PhysReg(G, 2))
-        assert count == 2
-        assert instr.uses == [PhysReg(G, 2), PhysReg(G, 2)]
-
     def test_copy_is_independent(self):
         instr = make(Op.ADD, defs=[t(0)], uses=[t(1), t(2)])
         dup = instr.copy()

@@ -57,8 +57,8 @@ class TestFunction:
         fn = Function("f")
         a = fn.new_temp(G)
         b = fn.new_temp(G)
-        assert a.id != b.id
-        assert fn.temp_count() == 2
+        assert a.id < b.id
+        assert fn.new_temp(G).id == b.id + 1
 
     def test_duplicate_block_labels_rejected(self):
         fn = Function("f")

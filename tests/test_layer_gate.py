@@ -55,6 +55,26 @@ def test_one_cell_twice_as_slow_fails_and_is_named():
     assert found[0].startswith("analogs lifetimes.compute_s: 2.00x")
 
 
+def test_faster_cell_in_a_much_faster_workload_passes():
+    """The table3 point of the hash-free scans: every core got faster,
+    coloring's least (0.93x raw).  Against the workload's median ratio
+    that reads as a slowdown past the limit, but the layer itself did
+    not slow down, so the gate passes it."""
+    raw = {"allocators.second-chance.core_s": 0.50,
+           "allocators.coloring.core_s": 0.93,
+           "allocators.two-pass.core_s": 0.55,
+           "allocators.poletto.core_s": 0.60,
+           "lifetimes.compute_s": 0.64, "trace.wall_s": 0.57}
+    faster = [_run("table3", raw)] * 3
+    assert 0.93 / 0.585 > layer_gate.MAX_SLOWDOWN   # the median is 0.585
+    assert layer_gate.failures(_point(table3=faster), BASELINE) == []
+    # The same spread, shifted so coloring's own median rose, fails.
+    risen = [_run("table3", {cell: r * 1.1 for cell, r in raw.items()})] * 3
+    found = layer_gate.failures(_point(table3=risen), BASELINE)
+    assert len(found) == 1
+    assert found[0].startswith("table3 allocators.coloring.core_s: 1.59x")
+
+
 def test_cell_median_ignores_one_slow_run():
     runs = [_run("serve", {"results.commit_s": 3.0}), _run("serve"),
             _run("serve")]

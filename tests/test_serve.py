@@ -178,14 +178,23 @@ class TestServer:
         via_minic = client.allocate(minic=MINIC, machine="tiny:4x4")
         assert via_ir["result"] == via_minic["result"] == 6
 
-    def test_malformed_request_keeps_connection_usable(self, client):
-        with pytest.raises(ServeError) as err:
-            client.request({"op": "allocate"})
-        assert err.value.code == "bad-request"
-        bad = client.send_raw(b"this is not json\n")
-        assert bad["ok"] is False
-        assert bad["error"]["code"] == "bad-json"
-        assert client.ping()["ok"] is True          # same connection
+    def test_malformed_request_keeps_connection_usable(self, server):
+        with socket.create_connection(("127.0.0.1", server.port),
+                                      timeout=30) as sock:
+            reader = sock.makefile("rb")
+
+            def send(line: bytes) -> dict:
+                sock.sendall(line)
+                return json.loads(reader.readline())
+
+            bad = send(encode({"op": "allocate", "id": "r1"}))
+            assert bad["ok"] is False
+            assert bad["error"]["code"] == "bad-request"
+            bad = send(b"this is not json\n")
+            assert bad["ok"] is False
+            assert bad["error"]["code"] == "bad-json"
+            pong = send(encode({"op": "ping", "id": "r2"}))
+            assert pong["ok"] is True and pong["id"] == "r2"  # same socket
 
     def test_parse_error_is_structured(self, client):
         with pytest.raises(ServeError) as err:

@@ -1,11 +1,13 @@
-"""Safety of the simulator's generated code (the hot tier).
+"""Safety of the simulator's generated code (both tiers).
 
 ``repro serve`` simulates untrusted IR, so generated source may hold only
 fixed templates, simulator-computed integer indices and the ``repr()`` of
-exact ints.  Floats, names, labels and messages reach the code through
-the constants list ``C``, and the code runs with empty builtins.  These
-tests compile every segment at its first entry and check each generated
-line against a whitelist written independently of the generator.
+exact ints.  Floats, names, labels and messages reach hot code through
+the constants list ``C``; cold code, one function per (opcode, operand
+kinds) shape, reads every index, immediate and message from its args
+tuple ``a``.  Both run with empty builtins.  These tests compile every
+segment at its first entry and check each generated line, hot and cold,
+against a whitelist written independently of the generator.
 """
 
 from __future__ import annotations
@@ -22,56 +24,66 @@ from repro.ir.builder import FunctionBuilder
 from repro.ir.function import Function
 from repro.ir.instr import Instr, Op
 from repro.ir.module import Module
+from repro.ir.temp import StackSlot
 from repro.ir.types import RegClass
 from repro.pm.session import CompilationSession
 from repro.sim import SimulationError, outputs_equal
+from repro.sim import machine as sim_machine
 from repro.sim.machine import Simulator
 from repro.target import alpha, tiny
 from repro.workloads.programs import PROGRAM_NAMES, build_program
 from tests.oracles.sim_reference import reference_simulate
 from tests.oracles.tiers import forced_tier
 
-_I = r"\d+"
-_C = rf"C\[{_I}\]"
-#: Operand reads: temp, register, guarded register, bad register.
-_RD = (rf"(?:T\[{_I}\]|R\[{_I}\]|\(R\[{_I}\] if not P\[{_I}\] else "
-       rf"X\({_C}\)\)|X\({_C}\))")
-_LIT = rf"(?:-?{_I}|{_C})"
-_WRAP = rf"v - {_I} if v >= {_I} else v"
+#: A fixed number of the templates (masks, the shift modulus).
+_N = r"\d+"
 
 
-def _wr(expr: str) -> str:
-    """Operand writes of ``expr``: temp, register, guarded, bad."""
-    return (rf"(?:T\[{_I}\] = {expr}|R\[{_I}\] = {expr}|"
-            rf"R\[{_I}\] = {expr}; P\[{_I}\] = 0|v = {expr}; X\({_C}\))")
+def whitelist(i: str, c: str, lit: str) -> re.Pattern:
+    """One pattern per instruction template, with ``i`` matching an
+    index (or the heap size), ``c`` a constant and ``lit`` an
+    immediate."""
+    rd = (rf"(?:T\[{i}\]|R\[{i}\]|\(R\[{i}\] if not P\[{i}\] else "
+          rf"X\({c}\)\)|X\({c}\))")
+    wrap = rf"v - {_N} if v >= {_N} else v"
+
+    def wr(expr: str) -> str:
+        """Operand writes of ``expr``: temp, register, guarded, bad."""
+        return (rf"(?:T\[{i}\] = {expr}|R\[{i}\] = {expr}|"
+                rf"R\[{i}\] = {expr}; P\[{i}\] = 0|v = {expr}; X\({c}\))")
+
+    patterns = [
+        wr(lit),                                              # li, fli
+        wr(rd),                                               # mov, fmov
+        rf"O\({rd}\)",                                        # print
+        r"pass",                                              # nop
+        rf"v = S\[{i}\]; v is U and X\({c}\); " + wr("v"),    # lds
+        rf"S\[{i}\] = {rd}",                                  # sts
+        rf"v = {rd} \+ {lit}; " + wr(                         # ld, fld
+            rf"H\[v\] if TY\(v\) is INT and 0 <= v < {i} and "
+            rf"TY\(H\[v\]\) is (?:INT|FLT) else LD\(H, v, {c}, {c}\)"),
+        rf"x = {rd}; v = {rd} \+ {lit}; TY\(v\) is INT and "   # st, fst
+        rf"0 <= v < {i} and H\[v\] is not None or ST\(H, v, x, {c}\); "
+        rf"H\[v\] = x",
+        rf"v = \({rd} \+ {lit}\) & {_N}; " + wr(wrap),         # addi
+        rf"v = \([-~]{rd}\) & {_N}; " + wr(wrap),               # neg, not
+        wr(rf"-{rd}"),                                         # fneg
+        wr(rf"FLT\({rd}\)"),                                   # itof
+        wr(rf"FTOI\({rd}, {c}\)"),                             # ftoi
+        wr(rf"(?:DIV|REM|FDIV)\({rd}, {rd}, {c}\)"),           # div, rem, fdiv
+        wr(rf"1 if {rd} (?:<|<=|==|!=) {rd} else 0"),          # comparisons
+        wr(rf"{rd} [-+*] {rd}"),                               # fadd/fsub/fmul
+        rf"v = \({rd} [-+*&|^] {rd}\) & {_N}; " + wr(wrap),     # int ALU
+        rf"v = \({rd} (?:<<|>>) \({rd} % 64\)\) & {_N}; " + wr(wrap),
+    ]
+    return re.compile("|".join(f"(?:{pattern})" for pattern in patterns))
 
 
-#: One pattern per instruction template.
-WHITELIST = [
-    _wr(_LIT),                                            # li, fli
-    _wr(_RD),                                             # mov, fmov
-    rf"O\({_RD}\)",                                       # print
-    r"pass",                                              # nop
-    rf"v = S\[{_I}\]; v is U and X\({_C}\); " + _wr("v"),  # lds
-    rf"S\[{_I}\] = {_RD}",                                # sts
-    rf"v = {_RD} \+ {_LIT}; " + _wr(                      # ld, fld
-        rf"H\[v\] if TY\(v\) is INT and 0 <= v < {_I} and "
-        rf"TY\(H\[v\]\) is (?:INT|FLT) else LD\(H, v, {_C}, {_C}\)"),
-    rf"x = {_RD}; v = {_RD} \+ {_LIT}; TY\(v\) is INT and "  # st, fst
-    rf"0 <= v < {_I} and H\[v\] is not None or ST\(H, v, x, {_C}\); "
-    rf"H\[v\] = x",
-    rf"v = \({_RD} \+ {_LIT}\) & {_I}; " + _wr(_WRAP),   # addi
-    rf"v = \([-~]{_RD}\) & {_I}; " + _wr(_WRAP),         # neg, not
-    _wr(rf"-{_RD}"),                                      # fneg
-    _wr(rf"FLT\({_RD}\)"),                                # itof
-    _wr(rf"FTOI\({_RD}, {_C}\)"),                         # ftoi
-    _wr(rf"(?:DIV|REM|FDIV)\({_RD}, {_RD}, {_C}\)"),      # div, rem, fdiv
-    _wr(rf"1 if {_RD} (?:<|<=|==|!=) {_RD} else 0"),      # comparisons
-    _wr(rf"{_RD} [-+*] {_RD}"),                           # fadd/fsub/fmul
-    rf"v = \({_RD} [-+*&|^] {_RD}\) & {_I}; " + _wr(_WRAP),  # int ALU
-    rf"v = \({_RD} (?:<<|>>) \({_RD} % 64\)\) & {_I}; " + _wr(_WRAP),
-]
-_LINE = re.compile("|".join(f"(?:{pattern})" for pattern in WHITELIST))
+#: Hot lines inline indices and exact-int immediates; cold lines read
+#: both, and every constant, as ``a[k]``.
+_HOT_LINE = whitelist(r"\d+", r"C\[\d+\]", r"(?:-?\d+|C\[\d+\])")
+_ARG = r"a\[\d+\]"
+_COLD_LINE = whitelist(_ARG, _ARG, _ARG)
 #: Every identifier generated code may use: its parameters, scratch
 #: locals, namespace entries and keywords.
 _NAMES = {"def", "seg", "T", "S", "R", "P", "H", "O", "U", "C", "X", "LD",
@@ -79,26 +91,67 @@ _NAMES = {"def", "seg", "T", "S", "R", "P", "H", "O", "U", "C", "X", "LD",
           "if", "else", "and", "or", "is", "not", "None", "pass"}
 _NAMESPACE = _NAMES - {"def", "seg", "T", "S", "v", "x", "if", "else",
                        "and", "or", "is", "not", "None", "pass"}
+#: Cold functions are ``h(T, S, a)`` and name no constant.
+_COLD_NAMES = (_NAMES - {"seg", "C"}) | {"h", "a"}
+#: The only numbers a cold line may hold besides ``a``'s subscripts:
+#: truth values, the shift modulus and the 64-bit wrap constants.
+_FIXED_NUMBERS = {"0", "1", "64", str((1 << 64) - 1), str(1 << 64),
+                  str(1 << 63)}
+
+
+def check_tokens(source: str, names: set[str]) -> list:
+    """The tokenizer pass: no strings, no float or complex literal, no
+    attribute access, no name outside ``names``; returns the tokens."""
+    tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
+    for tok in tokens:
+        assert tok.type != tokenize.STRING, tok
+        if tok.type == tokenize.NUMBER:
+            assert tok.string.isdigit(), tok  # no float/complex literal
+        if tok.type == tokenize.NAME:
+            assert tok.string in names, tok
+        if tok.type == tokenize.OP:
+            assert tok.string != ".", tok  # no attribute access
+    return tokens
 
 
 def check_source(source: str) -> None:
     lines = source.splitlines()
     assert lines[0] == "def seg(T, S):"
     for line in lines[1:]:
-        assert line.startswith(" ") and _LINE.fullmatch(line[1:]), line
-    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
-        assert tok.type != tokenize.STRING, tok
+        assert line.startswith(" ") and _HOT_LINE.fullmatch(line[1:]), line
+    check_tokens(source, _NAMES)
+
+
+def check_shape_source(shape: tuple, source: str) -> None:
+    """A cold function: one whitelisted line whose every number is an
+    ``a`` subscript or a fixed number of the templates."""
+    lines = source.splitlines()
+    assert lines[0] == "def h(T, S, a):" and len(lines) == 2, source
+    assert lines[1].startswith(" ") and _COLD_LINE.fullmatch(lines[1][1:]), (
+        shape, source)
+    tokens = check_tokens(source, _COLD_NAMES)
+    for k, tok in enumerate(tokens):
         if tok.type == tokenize.NUMBER:
-            assert tok.string.isdigit(), tok  # no float/complex literal
-        if tok.type == tokenize.NAME:
-            assert tok.string in _NAMES, tok
-        if tok.type == tokenize.OP:
-            assert tok.string != ".", tok  # no attribute access
+            subscript = (tokens[k - 2].string == "a"
+                         and tokens[k - 1].string == "[")
+            assert subscript or tok.string in _FIXED_NUMBERS, (shape, source)
+
+
+def check_shape_cache() -> None:
+    """The cold tier's cache holds one entry per (opcode, operand kinds):
+    every key is an opcode plus exactly one kind per operand, so no IR
+    can grow it past that bound."""
+    for shape, (source, _code) in sim_machine._SHAPES.items():
+        op, kinds = shape[0], shape[1:]
+        n_uses, n_defs, _extras, _template = sim_machine._OPS[op]
+        assert isinstance(op, Op) and len(kinds) == n_uses + n_defs, shape
+        assert set(kinds) <= {0, 1, 2, 3}, shape
+        check_shape_source(shape, source)
 
 
 def run_hot(module, machine, **kwargs) -> Simulator:
     """Simulate with every segment compiled at its first entry and check
-    all generated code and the namespace it runs in."""
+    all generated code, hot and cold, and the namespace it runs in."""
     with forced_tier("hot"):
         sim = Simulator(module, machine, **kwargs)
         try:
@@ -108,11 +161,17 @@ def run_hot(module, machine, **kwargs) -> Simulator:
     assert sim.segments_compiled == len(sim.hot_sources) > 0
     for source in sim.hot_sources.values():
         check_source(source)
-    namespace = sim._hot_ns
+    namespace = sim._ns
     assert namespace["__builtins__"] == {}
     assert set(namespace) == _NAMESPACE | {"__builtins__"}
-    words = {tok for src in sim.hot_sources.values()
-             for tok in re.findall(r"\w+", src)}
+    assert sim._shape_fns
+    for shape, fn in sim._shape_fns.items():
+        assert fn.__globals__ is namespace
+        assert fn.__code__ is sim_machine._SHAPES[shape][1]
+    check_shape_cache()
+    sources = [*sim.hot_sources.values(),
+               *(sim_machine._SHAPES[shape][0] for shape in sim._shape_fns)]
+    words = {tok for src in sources for tok in re.findall(r"\w+", src)}
     for fn in module.functions.values():
         assert fn.name not in words
         assert not {b.label for b in fn.blocks} & words
@@ -171,3 +230,30 @@ def test_hostile_names_and_floats_stay_out_of_source():
     expected = reference_simulate(module, machine).output
     assert outputs_equal(sim.output, expected)
     assert [repr(v) for v in sim.output[2:5]] == ["-0.0", "0.0", "-0.0"]
+
+
+def test_shape_cache_grows_by_shape_not_by_instruction():
+    """Distinct temps, immediates, slots and names share their shape's
+    cold function: 600 such instructions bind four shapes, and the
+    process-wide cache gains no entry beyond them."""
+    machine = tiny(4, 4)
+    fn = Function("main")
+    b = FunctionBuilder(fn)
+    b.new_block("entry")
+    for value in range(-100, 100):
+        t = b.li(value * 7919)
+        b.sts(t, StackSlot(value + 100, RegClass.GPR))
+        b.print_(b.lds(StackSlot(value + 100, RegClass.GPR),
+                       fn.new_temp(RegClass.GPR)))
+    b.ret()
+    module = Module()
+    module.add_function(fn)
+    before = set(sim_machine._SHAPES)
+    with forced_tier("cold"):
+        sim = Simulator(module, machine)
+        sim.run()
+    assert set(sim._shape_fns) == {(Op.LI, 0), (Op.STS, 0), (Op.LDS, 0),
+                                   (Op.PRINT, 0)}
+    assert set(sim_machine._SHAPES) - before <= set(sim._shape_fns)
+    check_shape_cache()
+    assert len(sim.output) == 200 and sim.segments_compiled == 0

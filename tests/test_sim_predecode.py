@@ -1,8 +1,8 @@
 """The pre-decoded simulator against the retained reference interpreter.
 
 :mod:`repro.sim.machine` cuts each block into segments and runs them
-through decoded handlers (cold tier) or, once hot, as generated code;
-:mod:`tests.oracles.sim_reference` is the original module-walking
+through per-shape cold functions (cold tier) or, once hot, as generated
+code; :mod:`tests.oracles.sim_reference` is the original module-walking
 interpreter, kept verbatim as the semantic oracle.  These tests demand
 the two agree *exactly* — outputs, results, dynamic instruction counts,
 cycles, per-opcode counts, spill counts, and faults (type and message) —
@@ -21,7 +21,7 @@ from repro.ir.builder import FunctionBuilder
 from repro.ir.function import Function
 from repro.ir.instr import Instr, Op
 from repro.ir.module import Module
-from repro.ir.temp import StackSlot
+from repro.ir.temp import PhysReg, StackSlot
 from repro.ir.types import RegClass
 from repro.obs import MetricsRegistry
 from repro.pm.session import CompilationSession
@@ -522,3 +522,72 @@ class TestFramePool:
                              poison_calls=False)
         assert fast == ref
         assert fast == ("fault", "helper: load of never-written [s0]")
+
+
+class TestMissingRegister:
+    """A register outside the machine's file — past the end of either
+    file, or at a negative index — faults where the reference faults,
+    whichever way the instruction touches it (straight-line read or
+    write, branch condition, returned value, call def), with the same
+    message and partial counts, at the shipped threshold and in both
+    forced tiers."""
+
+    BAD = {"gpr-high": PhysReg(RegClass.GPR, 5),
+           "fpr-high": PhysReg(RegClass.FPR, 4),
+           "negative": PhysReg(RegClass.GPR, -1)}
+    WHERE = ("read", "write", "br", "ret", "call-def")
+
+    @staticmethod
+    def module(bad, where: str) -> Module:
+        helper = Function("helper")
+        hb = FunctionBuilder(helper)
+        hb.new_block("entry")
+        hb.ret(hb.li(1))
+        fn = Function("main")
+        b = FunctionBuilder(fn)
+        b.new_block("entry")
+        b.print_(b.li(7))
+        b.nop()
+        b.emit({"read": Instr(Op.PRINT, uses=[bad]),
+                "write": Instr(Op.LI, defs=[bad], imm=5),
+                "br": Instr(Op.BR, uses=[bad], targets=["done", "done"]),
+                "ret": Instr(Op.RET, uses=[bad]),
+                "call-def": Instr(Op.CALL, defs=[bad], callee="helper"),
+                }[where])
+        if where not in ("br", "ret"):
+            b.nop()
+            b.emit(Instr(Op.JMP, targets=["done"]))
+        b.new_block("done")
+        b.ret()
+        module = Module()
+        module.add_function(fn)
+        module.add_function(helper)
+        return module
+
+    @pytest.mark.parametrize("trap", [False, True])
+    @pytest.mark.parametrize("where", WHERE)
+    @pytest.mark.parametrize("name", BAD)
+    def test_faults_like_reference(self, name, where, trap):
+        machine = tiny(4, 4)
+        bad = self.BAD[name]
+        module = self.module(bad, where)
+        _ref, ref = fault_state(ReferenceSimulator, module, machine,
+                                trap_poison=trap)
+        assert ref[:2] == ("SimulationError",
+                           f"register {bad} does not exist on {machine.name}")
+        _sim, shipped = fault_state(Simulator, module, machine,
+                                    trap_poison=trap)
+        assert shipped == ref
+        for tier in TIERS:
+            with forced_tier(tier):
+                sim, fast = fault_state(Simulator, module, machine,
+                                        trap_poison=trap)
+            assert fast == ref, tier
+            assert (sim.segments_compiled > 0) == (tier == "hot")
+
+    def test_parser_rejects_a_negative_index(self):
+        from repro.ir.parser import parse_reg
+
+        assert parse_reg("r3") == PhysReg(RegClass.GPR, 3)
+        with pytest.raises(ValueError, match="bad register"):
+            parse_reg("r-1")

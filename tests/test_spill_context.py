@@ -46,7 +46,7 @@ class TestAllocationContext:
         assert AllocationContext.parse(context.describe()) == context
 
     def test_default_is_empty_everywhere(self):
-        assert DEFAULT_CONTEXT.is_default
+        assert not DEFAULT_CONTEXT.remat and not DEFAULT_CONTEXT.stressed
         assert DEFAULT_CONTEXT.describe() == ""
         assert DEFAULT_CONTEXT.cli_args() == []
         assert AllocationContext.parse("") == DEFAULT_CONTEXT

@@ -29,8 +29,9 @@ class TestInvariants:
     def test_param_and_return_regs_are_caller_saved(self, machine):
         for cls in (G, F):
             for reg in machine.param_regs(cls):
-                assert machine.is_caller_saved(reg)
-            assert machine.is_caller_saved(machine.ret_reg(cls))
+                assert reg in machine.caller_saved(cls)
+                assert not machine.is_callee_saved(reg)
+            assert machine.ret_reg(cls) in machine.caller_saved(cls)
 
     def test_param_regs_are_distinct(self, machine):
         for cls in (G, F):
