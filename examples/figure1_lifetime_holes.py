@@ -69,11 +69,12 @@ def main() -> None:
     print(header)
     for temp in sorted(table.temps, key=lambda t: t.name or ""):
         lifetime = table.temps[temp]
+        holes = lifetime.holes()
         cells = []
         for point in range(width):
             if lifetime.alive_at(point):
                 cells.append("#")
-            elif lifetime.in_hole(point):
+            elif any(point in hole for hole in holes):
                 cells.append(".")
             else:
                 cells.append(" ")

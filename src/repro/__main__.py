@@ -527,6 +527,13 @@ def build_parser() -> argparse.ArgumentParser:
     store_option(report_p)
     report_p.set_defaults(func=cmd_report)
 
+    def worker_count(text: str) -> int:
+        count = int(text)
+        if count < 1:
+            raise argparse.ArgumentTypeError(
+                f"needs at least one worker process, got {count}")
+        return count
+
     serve_p = sub.add_parser(
         "serve", help="run the allocation service")
     serve_p.add_argument("--host", default="127.0.0.1",
@@ -534,9 +541,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve_p.add_argument("--port", type=int, default=0, metavar="N",
                          help="bind port (default: 0 = ephemeral, "
                               "printed on startup)")
-    serve_p.add_argument("--jobs", type=int, default=1, metavar="N",
+    serve_p.add_argument("--jobs", type=worker_count, default=1, metavar="N",
                          help="worker processes for cache misses "
-                              "(default: 1; 0 = in-process threads)")
+                              "(default: 1)")
     store_option(serve_p)
     serve_p.set_defaults(func=cmd_serve)
     return parser

@@ -101,6 +101,12 @@ STRESS_GRID: tuple[FuzzConfig, ...] = tuple(
     for allocator in ("second-chance", "two-pass", "coloring", "poletto")
 )
 
+#: Divergences minimized per report: a systematically broken allocator
+#: diverges on most seeds × configs, and shrinking each witness costs
+#: hundreds of pipeline runs; later ones are reported with the full
+#: module.
+MAX_SHRINKS = 3
+
 
 @dataclass
 class Divergence:
@@ -223,14 +229,10 @@ class FuzzReport:
 
 def run_seed(seed: int, *, configs: tuple[FuzzConfig, ...] = CONFIG_GRID,
              shrink: bool = True, shrink_budget: int = 400,
-             max_shrinks: int = 3,
              report: FuzzReport | None = None) -> FuzzReport:
     """Fuzz one seed across ``configs``, appending into ``report``.
 
-    At most ``max_shrinks`` divergences per report are minimized (a
-    systematically broken allocator diverges on most seeds × configs, and
-    shrinking each witness costs hundreds of pipeline runs); later ones
-    are reported with the full module."""
+    At most :data:`MAX_SHRINKS` divergences per report are minimized."""
     rep = report if report is not None else FuzzReport()
     rep.seeds += 1
     program = program_for_seed(seed)
@@ -258,7 +260,7 @@ def run_seed(seed: int, *, configs: tuple[FuzzConfig, ...] = CONFIG_GRID,
             rep.skips += 1
             continue
         witness = program.module
-        if shrink and rep.shrinks < max_shrinks:
+        if shrink and rep.shrinks < MAX_SHRINKS:
             rep.shrinks += 1
             witness = _shrink_divergence(program, resolved, kind,
                                          shrink_budget)
@@ -274,28 +276,27 @@ def run_seed(seed: int, *, configs: tuple[FuzzConfig, ...] = CONFIG_GRID,
 
 def _seed_worker(payload) -> FuzzReport:
     """Process-pool entry: fuzz one seed into a fresh report."""
-    seed, configs, shrink, shrink_budget, max_shrinks = payload
+    seed, configs, shrink, shrink_budget = payload
     return run_seed(seed, configs=configs, shrink=shrink,
-                    shrink_budget=shrink_budget, max_shrinks=max_shrinks)
+                    shrink_budget=shrink_budget)
 
 
 def fuzz(seeds: range | list[int], *,
          configs: tuple[FuzzConfig, ...] = CONFIG_GRID,
          shrink: bool = True, shrink_budget: int = 400,
-         max_shrinks: int = 3, progress=None, jobs: int = 1) -> FuzzReport:
+         progress=None, jobs: int = 1) -> FuzzReport:
     """Fuzz every seed in ``seeds``; return the aggregate report.
 
     With ``jobs > 1``, seeds run in parallel worker processes
     (:func:`repro.pm.batch.run_batch`) and the per-seed reports are
     merged back in seed order, so the aggregate is deterministic.  One
-    semantic difference from serial: ``max_shrinks`` caps minimizations
+    semantic difference from serial: :data:`MAX_SHRINKS` caps minimizations
     *per seed* rather than across the whole run, since workers cannot
     see each other's shrink counts.
     """
     report = FuzzReport()
     if jobs > 1:
-        payloads = [(seed, configs, shrink, shrink_budget, max_shrinks)
-                    for seed in seeds]
+        payloads = [(seed, configs, shrink, shrink_budget) for seed in seeds]
         seed_reports = run_batch(_seed_worker, payloads, jobs=jobs)
         for seed, seed_report in zip(seeds, seed_reports):
             report.merge(seed_report)
@@ -304,8 +305,7 @@ def fuzz(seeds: range | list[int], *,
         return report
     for seed in seeds:
         run_seed(seed, configs=configs, shrink=shrink,
-                 shrink_budget=shrink_budget, max_shrinks=max_shrinks,
-                 report=report)
+                 shrink_budget=shrink_budget, report=report)
         if progress is not None:
             progress(seed, report)
     return report

@@ -262,13 +262,6 @@ class Lifetime:
         """True when the value is live at ``point``."""
         return self.live.covers(point)
 
-    def in_hole(self, point: int) -> bool:
-        """True when ``point`` falls in a lifetime hole (inside the span
-        but not live)."""
-        if not self.live:
-            return False
-        return self.start <= point < self.end and not self.live.covers(point)
-
     def next_live_at_or_after(self, point: int) -> int | None:
         """First live point >= ``point`` (``None`` once the lifetime ended)."""
         return self.live.next_covered_at_or_after(point)
@@ -326,10 +319,6 @@ class LifetimeTable:
     def reserved_for(self, reg: PhysReg) -> RangeSet:
         """The convention-reserved ranges of ``reg`` (possibly empty)."""
         return self.reserved[reg.regclass][reg.index]
-
-    def lifetime(self, temp: Temp) -> Lifetime:
-        """The lifetime of ``temp`` (raises for unreferenced temps)."""
-        return self.temps[temp]
 
     def next_ref_at_or_after(self, temp: Temp, point: int) -> tuple[int, int] | None:
         """The next reference of ``temp`` at or after ``point``.

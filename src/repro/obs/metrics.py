@@ -34,11 +34,6 @@ class MetricsRegistry:
         """Overwrite gauge ``name`` with ``value``."""
         self._values[name] = value
 
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Fold another registry's counters into this one (summing)."""
-        for name, value in other._values.items():
-            self.bump(name, value)
-
     # ------------------------------------------------------------------
     # Reading.
     # ------------------------------------------------------------------

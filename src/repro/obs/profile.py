@@ -113,17 +113,6 @@ class PhaseProfiler:
         """Sum of every phase's self time == total instrumented time."""
         return sum(stat.self_ns for stat in self.phases.values()) / 1e9
 
-    def merge(self, other: "PhaseProfiler") -> None:
-        """Fold another profiler's accumulations into this one."""
-        for name, stat in other.phases.items():
-            mine = self.phases.get(name)
-            if mine is None:
-                mine = self.phases[name] = PhaseStat(name, depth=stat.depth,
-                                                     parent=stat.parent)
-            mine.calls += stat.calls
-            mine.total_ns += stat.total_ns
-            mine.self_ns += stat.self_ns
-
     def summary(self) -> dict:
         """The split every suite record and serve artifact embeds (plus
         the raw per-phase table)."""

@@ -18,7 +18,6 @@ from repro.cfg.cfg import CFG
 from repro.dataflow.liveness import compute_liveness
 from repro.ir.function import Function
 from repro.ir.instr import Instr, Op
-from repro.ir.module import Module
 from repro.ir.temp import Temp
 
 #: Opcodes with no effect beyond their register def.
@@ -93,9 +92,3 @@ def eliminate_dead_code(fn: Function, analyses=None) -> int:
             return removed_total
         if analyses is not None:
             analyses.invalidate(fn, preserve=_ROUND_PRESERVES)
-
-
-def eliminate_dead_code_module(module: Module, analyses=None) -> int:
-    """Run DCE over every function; returns total removals."""
-    return sum(eliminate_dead_code(fn, analyses)
-               for fn in module.functions.values())

@@ -376,17 +376,3 @@ def verify_dataflow(fn: Function, machine: MachineDescription,
         raise AllocationVerifyError(
             f"dataflow verification failed ({len(errors)} error(s)):\n"
             f"  {shown}{more}")
-
-
-def verify_dataflow_module(module: Module, machine: MachineDescription,
-                           snapshots: dict[str, OperandSnapshot],
-                           analyses=None) -> None:
-    """Run :func:`verify_dataflow` over every function of ``module``.
-
-    ``analyses`` (an :class:`repro.pm.analysis.AnalysisManager`) serves
-    each function's post-allocation CFG from the session cache, where the
-    spill-cleanup pass will find it again.
-    """
-    for name, fn in module.functions.items():
-        cfg = analyses.cfg(fn) if analyses is not None else None
-        verify_dataflow(fn, machine, snapshots[name], cfg)

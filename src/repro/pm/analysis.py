@@ -142,7 +142,6 @@ class AnalysisManager:
 
     machine: MachineDescription
     metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
-    profiler: PhaseProfiler | None = None
     _cache: dict[Function, dict[str, Any]] = field(default_factory=dict)
     _origins: dict[Function, Function] = field(default_factory=dict)
 
@@ -154,9 +153,8 @@ class AnalysisManager:
         """The ``kind`` analysis of ``fn`` — cached, transferred from the
         function's clone origin, or computed, in that order.
 
-        ``profiler`` (defaulting to the manager's) times an actual
-        computation under the ``setup.<kind>`` phase; hits and transfers
-        are free and untimed.
+        ``profiler``, when given, times an actual computation under the
+        ``setup.<kind>`` phase; hits and transfers are free and untimed.
         """
         per_fn = self._cache.get(fn)
         if per_fn is not None and kind.name in per_fn:
@@ -167,9 +165,8 @@ class AnalysisManager:
             value = kind.transfer(self.get(kind, base_fn, profiler), fn)
             self.metrics.bump("pm.analysis.transfers")
         else:
-            prof = profiler or self.profiler
-            if prof is not None:
-                with prof.phase(f"setup.{kind.name}"):
+            if profiler is not None:
+                with profiler.phase(f"setup.{kind.name}"):
                     value = kind.compute(self, fn)
             else:
                 value = kind.compute(self, fn)

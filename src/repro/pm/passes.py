@@ -74,20 +74,19 @@ class PassManager:
     """Runs passes over modules, enforcing the invalidation contract."""
 
     analyses: AnalysisManager
-    profiler: PhaseProfiler | None = None
 
     def run(self, pass_: FunctionPass, module: Module,
             profiler: PhaseProfiler | None = None) -> list[Any]:
         """Run ``pass_`` over every function; returns per-function results.
 
-        Timed under ``pass_.phase`` on ``profiler`` (or the manager's).
+        Timed under ``pass_.phase`` on ``profiler``, when given.
         After each function that the pass reports changed, the analysis
         cache is invalidated down to the pass's preserve set.
         """
-        prof = profiler or self.profiler
         results: list[Any] = []
         changed_fns = 0
-        with (prof.phase(pass_.phase) if prof is not None else nullcontext()):
+        with (profiler.phase(pass_.phase) if profiler is not None
+              else nullcontext()):
             for fn in module.functions.values():
                 result = pass_.run(fn, self.analyses)
                 results.append(result)

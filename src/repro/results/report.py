@@ -130,7 +130,7 @@ def figure3_rows(store: ResultStore, names: list[str]) -> list[list]:
         for tag, data in ((f"{name}-b", b), (f"{name}-c", c)):
             if base == 0:
                 # Nothing to normalize against: a ratio here would be a
-                # raw count in disguise (cf. SpillBreakdown.normalized_to).
+                # raw count in disguise.
                 cells = ["n/a" for _ in FIGURE3_KEYS]
             else:
                 cells = [f"{data['spill_categories'][key] / base:.3f}"

@@ -162,8 +162,9 @@ def execute_cell(payload: tuple) -> dict:
 
     The payload is ``(key-as-json, code_hash)``; the returned dict is the
     record's ``data``.  Pure: no store access, no global state — worker
-    metrics come back via ``MetricsRegistry.snapshot()`` and are restored
-    by the parent (see :meth:`MetricsRegistry.restore`).
+    metrics come back as a ``MetricsRegistry.snapshot()`` in the data's
+    ``metrics`` field, which the parent commits as is; a reader rebuilds
+    a registry from a record with :meth:`MetricsRegistry.restore`.
     """
     from repro.allocators import make_allocator
     from repro.allocators.binpack.allocator import BinpackOptions

@@ -2,12 +2,11 @@
 
 One event loop multiplexes every connection; cache hits are answered
 inline (a dictionary lookup plus JSON serialization), and cache misses
-are scheduled onto an executor — a ``ProcessPoolExecutor`` running
-:func:`repro.pm.batch.allocation_artifact` (``jobs >= 1``), or the
-default thread executor (``jobs = 0``, used by tests and tiny
-deployments where process spin-up would dominate).  Identical requests
-in flight at the same time are *coalesced*: one allocation runs, every
-waiter shares the result (``serve.coalesced``).
+are scheduled onto a ``ProcessPoolExecutor`` of ``jobs >= 1`` worker
+processes running :func:`repro.pm.batch.allocation_artifact`, so no
+allocation of a client's module runs inside the server process.
+Identical requests in flight at the same time are *coalesced*: one
+allocation runs, every waiter shares the result (``serve.coalesced``).
 
 Both protocols share one port: a connection whose first bytes spell an
 HTTP verb gets the minimal HTTP facade (``POST /allocate``,
@@ -78,12 +77,14 @@ class AllocationServer:
     """
 
     def __init__(self, store: str | None = None, *,
-                 host: str = "127.0.0.1", port: int = 0, jobs: int = 1,
-                 metrics: MetricsRegistry | None = None):
+                 host: str = "127.0.0.1", port: int = 0, jobs: int = 1):
+        if jobs < 1:
+            raise ValueError(f"the server needs at least one worker "
+                             f"process (jobs={jobs})")
         self.host = host
         self.port = port          # rewritten with the bound port on start
         self.jobs = jobs
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.metrics = MetricsRegistry()
         self.cache = AllocationCache(store, metrics=self.metrics)
         self.started_at = time.time()
         self._latencies: list[float] = []
@@ -118,8 +119,7 @@ class AllocationServer:
         self._loop = asyncio.get_running_loop()
         self._shutdown = asyncio.Event()
         self._commit_lock = asyncio.Lock()
-        if self.jobs >= 1:
-            self._executor = ProcessPoolExecutor(max_workers=self.jobs)
+        self._executor = ProcessPoolExecutor(max_workers=self.jobs)
         server = await asyncio.start_server(
             self._handle_connection, self.host, self.port,
             limit=MAX_LINE_BYTES)

@@ -16,14 +16,14 @@ Semantics notes:
   both virtual code (``ret t3`` / ``call @f() -> r0``) and fully lowered
   code (where the value additionally travels through the return register).
 
-Strictness (all on by default):
+Strictness (always on):
 
-* ``poison_calls``: after a call returns, caller-saved registers that are
-  not the call's defs are overwritten with poison, so code that wrongly
-  keeps a value in a caller-saved register across a call misbehaves
-  deterministically rather than accidentally working.
-* ``check_callee_saved``: on ``ret``, every callee-saved register must
-  hold the value it had at function entry.
+* after a call returns, caller-saved registers that are not the call's
+  defs are overwritten with poison, so code that wrongly keeps a value
+  in a caller-saved register across a call misbehaves deterministically
+  rather than accidentally working.
+* on ``ret``, every callee-saved register must hold the value it had at
+  function entry.
 * reading a stack slot that was never stored in this frame faults —
   this is what catches missing spill stores (the consistency dataflow's
   whole job, Section 2.4).
@@ -556,13 +556,10 @@ class Simulator:
     """Executes a module; see the module docstring for the semantics."""
 
     def __init__(self, module: Module, machine: MachineDescription, *,
-                 max_steps: int = 50_000_000, poison_calls: bool = True,
-                 check_callee_saved: bool = True, trap_poison: bool = False):
+                 max_steps: int = 50_000_000, trap_poison: bool = False):
         self.module = module
         self.machine = machine
         self.max_steps = max_steps
-        self.poison_calls = poison_calls
-        self.check_callee_saved = check_callee_saved
         self.trap_poison = trap_poison
         #: The flat register file: GPRs then FPRs, each in index order
         #: (see :meth:`_reg_i`).
@@ -826,10 +823,9 @@ class Simulator:
             args = self._read_spec(instr.uses[0]) if instr.uses else None
         elif op is Op.CALL:
             skip = set(instr.defs)
-            poison = (tuple((ri, value)
-                            for reg, ri, value in self._poison_all
-                            if reg not in skip)
-                      if self.poison_calls else ())
+            poison = tuple((ri, value)
+                           for reg, ri, value in self._poison_all
+                           if reg not in skip)
             defs = tuple(self._write_spec(d) for d in instr.defs)
             ctl, args = _CTL_CALL, (self.module.functions.get(instr.callee),
                                     instr.callee, poison, defs, fname)
@@ -908,9 +904,9 @@ class Simulator:
     #: frames — the host recursion limit is irrelevant).
     MAX_CALL_DEPTH = 2000
 
-    def run(self, entry: str = "main") -> SimOutcome:
-        """Execute from ``entry`` until its ``ret``; return the outcome."""
-        result = self._run(self.module.function(entry))
+    def run(self) -> SimOutcome:
+        """Execute ``main`` until its ``ret``; return the outcome."""
+        result = self._run(self.module.function("main"))
         return SimOutcome(
             output=self.output,
             result=result,
@@ -939,11 +935,10 @@ class Simulator:
         else:
             frame = _Frame(info, len(self._callee_idx))
             self.frames_allocated += 1
-        if self.check_callee_saved:
-            regs = self.regs
-            saved = frame.saved
-            for k, ri in enumerate(self._callee_idx):
-                saved[k] = regs[ri]
+        regs = self.regs
+        saved = frame.saved
+        for k, ri in enumerate(self._callee_idx):
+            saved[k] = regs[ri]
         return frame
 
     def _uncharge(self, sid: int, j: int) -> tuple[int, int]:
@@ -1001,7 +996,6 @@ class Simulator:
         hits = self._seg_hits
         threshold = HOT_THRESHOLD
         regs = self.regs
-        check_callee = self.check_callee_saved
         callee_idx = self._callee_idx
         callee_regs = self._callee_regs
         trap = self.trap_poison
@@ -1080,19 +1074,18 @@ class Simulator:
                         value = regs[spec[1]]
                     else:
                         value = self._read_guard(spec)
-                    if check_callee:
-                        saved = frame.saved
-                        for k, ri in enumerate(callee_idx):
-                            current = regs[ri]
-                            entry_value = saved[k]
-                            same = (current == entry_value or
-                                    (current != current
-                                     and entry_value != entry_value))
-                            if not same:
-                                raise SimulationError(
-                                    f"{info.fn.name}: callee-saved "
-                                    f"{callee_regs[k]} clobbered "
-                                    f"({entry_value!r} -> {current!r})")
+                    saved = frame.saved
+                    for k, ri in enumerate(callee_idx):
+                        current = regs[ri]
+                        entry_value = saved[k]
+                        same = (current == entry_value or
+                                (current != current
+                                 and entry_value != entry_value))
+                        if not same:
+                            raise SimulationError(
+                                f"{info.fn.name}: callee-saved "
+                                f"{callee_regs[k]} clobbered "
+                                f"({entry_value!r} -> {current!r})")
                     info.pool.append(frame)
                     if not stack:
                         return value
@@ -1163,21 +1156,16 @@ def mismatch(reference: SimOutcome, outcome: SimOutcome) -> str | None:
 
 
 def simulate(module: Module, machine: MachineDescription, *,
-             entry: str = "main", max_steps: int = 50_000_000,
-             poison_calls: bool = True,
-             check_callee_saved: bool = True,
-             trap_poison: bool = False,
+             max_steps: int = 50_000_000, trap_poison: bool = False,
              metrics=None) -> SimOutcome:
-    """Run ``module`` from ``entry`` and return the :class:`SimOutcome`.
+    """Run ``module`` from ``main`` and return the :class:`SimOutcome`.
 
     With a ``metrics`` registry, the outcome's dynamic counts are
     published under ``sim.*`` after the run (see :meth:`SimOutcome.publish`).
     """
     sim = Simulator(module, machine, max_steps=max_steps,
-                    poison_calls=poison_calls,
-                    check_callee_saved=check_callee_saved,
                     trap_poison=trap_poison)
-    outcome = sim.run(entry)
+    outcome = sim.run()
     if metrics is not None:
         outcome.publish(metrics)
     return outcome

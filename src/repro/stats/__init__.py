@@ -1,7 +1,6 @@
 """Evaluation statistics: spill-code accounting and table rendering."""
 
-from repro.stats.spill import FIGURE3_CATEGORIES, SpillBreakdown, spill_breakdown
+from repro.stats.spill import FIGURE3_CATEGORIES
 from repro.stats.report import format_table
 
-__all__ = ["FIGURE3_CATEGORIES", "SpillBreakdown", "format_table",
-           "spill_breakdown"]
+__all__ = ["FIGURE3_CATEGORIES", "format_table"]

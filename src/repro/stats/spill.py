@@ -35,71 +35,39 @@ REMAT_CATEGORIES: list[tuple[SpillPhase, SpillKind]] = [
 ]
 
 
-@dataclass(frozen=True)
-class SpillBreakdown:
-    """Dynamic spill-instruction counts for one run, by category."""
-
-    counts: tuple[int, ...]  # parallel to FIGURE3_CATEGORIES
-    total_dynamic: int
-    remat_counts: tuple[int, ...] = (0, 0)  # parallel to REMAT_CATEGORIES
-
-    @property
-    def remat(self) -> int:
-        """Dynamic rematerializations (all phases)."""
-        return sum(self.remat_counts)
-
-    @property
-    def total_spill(self) -> int:
-        """All candidate spill instructions (evict + resolve + remat)."""
-        return sum(self.counts) + self.remat
-
-    def fraction(self) -> float:
-        """Table 2's percentage (as a fraction of all dynamic instrs)."""
-        if not self.total_dynamic:
-            return 0.0
-        return self.total_spill / self.total_dynamic
-
-    def category(self, phase: SpillPhase, kind: SpillKind) -> int:
-        """One category's dynamic count."""
-        if kind is SpillKind.REMAT:
-            return self.remat_counts[REMAT_CATEGORIES.index((phase, kind))]
-        return self.counts[FIGURE3_CATEGORIES.index((phase, kind))]
-
-    def normalized_to(self, baseline: "SpillBreakdown") -> list[float] | None:
-        """Figure 3's normalization: each category divided by the
-        *baseline allocator's* total spill count.
-
-        Returns ``None`` when the baseline inserted no spill code at all:
-        there is nothing to normalize against, and the old silent
-        ``or 1`` fallback let ablation tables print ratios that looked
-        meaningful but were raw counts in disguise.  Callers must render
-        the zero-baseline case explicitly (e.g. as ``n/a``).
-        """
-        base = baseline.total_spill
-        if not base:
-            return None
-        return [c / base for c in self.counts]
-
-
-def spill_breakdown(outcome: SimOutcome) -> SpillBreakdown:
-    """Extract the Figure 3 categories from a simulation outcome."""
-    counts = tuple(outcome.spill_counts.get((phase, kind), 0)
-                   for phase, kind in FIGURE3_CATEGORIES)
-    remat = tuple(outcome.spill_counts.get((phase, kind), 0)
-                  for phase, kind in REMAT_CATEGORIES)
-    return SpillBreakdown(counts, outcome.dynamic_instructions, remat)
-
-
 def quality_figures(outcome: SimOutcome) -> dict:
     """One checked run's figures as suite records and serve artifacts
-    carry them: dynamic counts, result, every spill category."""
-    breakdown = spill_breakdown(outcome)
+    carry them: dynamic counts, result, every spill category, and the
+    outcome's candidate spill total (Table 2's numerator)."""
+    counts = outcome.spill_counts
     return {
         "dynamic_instructions": outcome.dynamic_instructions,
         "cycles": outcome.cycles,
         "result": outcome.result,
         "spill_categories": {
-            f"{phase.value}.{kind.value}": breakdown.category(phase, kind)
+            f"{phase.value}.{kind.value}": counts.get((phase, kind), 0)
             for phase, kind in FIGURE3_CATEGORIES + REMAT_CATEGORIES},
-        "total_spill": breakdown.total_spill,
+        "total_spill": outcome.spill_instructions,
     }
+
+
+@dataclass(frozen=True)
+class _OutcomeSpills:
+    """One run's spill counts as ``perfbench/serve.py`` reads them: a
+    view of the outcome's own tally."""
+
+    outcome: SimOutcome
+
+    def category(self, phase: SpillPhase, kind: SpillKind) -> int:
+        return self.outcome.spill_counts.get((phase, kind), 0)
+
+    @property
+    def total_spill(self) -> int:
+        return self.outcome.spill_instructions
+
+
+def spill_breakdown(outcome: SimOutcome) -> _OutcomeSpills:
+    """The benchmark harness's reader of ``outcome``'s spill counts;
+    everything in ``src/`` reads the outcome through
+    :func:`quality_figures` instead."""
+    return _OutcomeSpills(outcome)

@@ -18,6 +18,10 @@ __all__ = ["CYCLE_COSTS", "MachineDescription", "alpha", "cycle_cost", "tiny"]
 #: The smallest legal tiny file: return register, two parameter
 #: registers, and at least one callee-saved register.
 _MIN_FILE = 4
+#: The largest: Alpha's 32 registers.  A spec arrives from clients
+#: (``tiny:<G>x<F>``), and building a file costs time and memory in
+#: its size.
+_MAX_FILE = 32
 
 
 def tiny(n_gpr: int = 8, n_fpr: int = 8) -> MachineDescription:
@@ -27,11 +31,15 @@ def tiny(n_gpr: int = 8, n_fpr: int = 8) -> MachineDescription:
     parameters, register 3 is a caller-saved temporary, and registers 4
     and up are callee-saved.  Each file needs at least four registers to
     fit that convention (at the four-register minimum, register 3 is the
-    single callee-saved register instead).
+    single callee-saved register instead), and at most 32, Alpha's size.
     """
     if n_gpr < _MIN_FILE or n_fpr < _MIN_FILE:
         raise ValueError(
             f"tiny machines need at least {_MIN_FILE} registers per file "
+            f"(got {n_gpr} GPRs, {n_fpr} FPRs)")
+    if n_gpr > _MAX_FILE or n_fpr > _MAX_FILE:
+        raise ValueError(
+            f"tiny machines take at most {_MAX_FILE} registers per file "
             f"(got {n_gpr} GPRs, {n_fpr} FPRs)")
     return MachineDescription(
         f"tiny{n_gpr}x{n_fpr}", n_gpr, n_fpr,

@@ -54,13 +54,10 @@ class ReferenceSimulator:
     """Executes a module; see :mod:`repro.sim.machine` for the semantics."""
 
     def __init__(self, module: Module, machine: MachineDescription, *,
-                 max_steps: int = 50_000_000, poison_calls: bool = True,
-                 check_callee_saved: bool = True, trap_poison: bool = False):
+                 max_steps: int = 50_000_000, trap_poison: bool = False):
         self.module = module
         self.machine = machine
         self.max_steps = max_steps
-        self.poison_calls = poison_calls
-        self.check_callee_saved = check_callee_saved
         self.trap_poison = trap_poison
         self._poisoned: set[PhysReg] = set()
         self.regs: dict[PhysReg, int | float] = {}
@@ -132,9 +129,9 @@ class ReferenceSimulator:
     #: Maximum simulated call depth (each level costs a few Python frames).
     MAX_CALL_DEPTH = 2000
 
-    def run(self, entry: str = "main") -> SimOutcome:
-        """Execute from ``entry`` until its ``ret``; return the outcome."""
-        result = self._call(self.module.function(entry), depth=0)
+    def run(self) -> SimOutcome:
+        """Execute ``main`` until its ``ret``; return the outcome."""
+        result = self._call(self.module.function("main"), depth=0)
         return SimOutcome(
             output=self.output,
             result=result,
@@ -155,10 +152,9 @@ class ReferenceSimulator:
         if depth > self.MAX_CALL_DEPTH:
             raise SimulationError(f"call depth exceeded entering {fn.name}")
         frame = _Frame(fn)
-        if self.check_callee_saved:
-            for cls in (RegClass.GPR, RegClass.FPR):
-                for reg in self.machine.callee_saved(cls):
-                    frame.entry_callee_saved[reg] = self.regs[reg]
+        for cls in (RegClass.GPR, RegClass.FPR):
+            for reg in self.machine.callee_saved(cls):
+                frame.entry_callee_saved[reg] = self.regs[reg]
         blocks = self._block_map(fn)
 
         while True:
@@ -176,15 +172,14 @@ class ReferenceSimulator:
             op = instr.op
             if op is Op.RET:
                 value = self._read(frame, instr.uses[0]) if instr.uses else None
-                if self.check_callee_saved:
-                    for reg, saved in frame.entry_callee_saved.items():
-                        current = self.regs[reg]
-                        same = (current == saved or
-                                (current != current and saved != saved))
-                        if not same:
-                            raise SimulationError(
-                                f"{fn.name}: callee-saved {reg} clobbered "
-                                f"({saved!r} -> {current!r})")
+                for reg, saved in frame.entry_callee_saved.items():
+                    current = self.regs[reg]
+                    same = (current == saved or
+                            (current != current and saved != saved))
+                    if not same:
+                        raise SimulationError(
+                            f"{fn.name}: callee-saved {reg} clobbered "
+                            f"({saved!r} -> {current!r})")
                 return value
             if op is Op.JMP:
                 frame.block = blocks[instr.targets[0]]
@@ -201,15 +196,14 @@ class ReferenceSimulator:
                     raise SimulationError(f"{fn.name}: call to unknown "
                                           f"function {instr.callee!r}")
                 value = self._call(callee, depth + 1)
-                if self.poison_calls:
-                    skip = set(instr.defs)
-                    for cls in (RegClass.GPR, RegClass.FPR):
-                        poison = _GPR_POISON if cls is RegClass.GPR else _FPR_POISON
-                        for reg in self.machine.caller_saved(cls):
-                            if reg in skip:
-                                continue
-                            self.regs[reg] = poison
-                            self._poisoned.add(reg)
+                skip = set(instr.defs)
+                for cls in (RegClass.GPR, RegClass.FPR):
+                    poison = _GPR_POISON if cls is RegClass.GPR else _FPR_POISON
+                    for reg in self.machine.caller_saved(cls):
+                        if reg in skip:
+                            continue
+                        self.regs[reg] = poison
+                        self._poisoned.add(reg)
                 for d in instr.defs:
                     if value is None:
                         raise SimulationError(
@@ -338,13 +332,9 @@ class ReferenceSimulator:
 
 
 def reference_simulate(module: Module, machine: MachineDescription, *,
-                       entry: str = "main", max_steps: int = 50_000_000,
-                       poison_calls: bool = True,
-                       check_callee_saved: bool = True,
+                       max_steps: int = 50_000_000,
                        trap_poison: bool = False) -> SimOutcome:
     """Run ``module`` on the reference interpreter."""
     sim = ReferenceSimulator(module, machine, max_steps=max_steps,
-                             poison_calls=poison_calls,
-                             check_callee_saved=check_callee_saved,
                              trap_poison=trap_poison)
-    return sim.run(entry)
+    return sim.run()

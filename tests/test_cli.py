@@ -89,6 +89,13 @@ class TestBench:
         assert "second-chance" in out
 
 
+def test_serve_refuses_zero_workers(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["serve", "--jobs", "0"])
+    assert exc.value.code == 2
+    assert "at least one worker process" in capsys.readouterr().err
+
+
 def test_module_entry_point(program):
     proc = subprocess.run([sys.executable, "-m", "repro", "run", program],
                           capture_output=True, text=True, timeout=120)

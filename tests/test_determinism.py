@@ -29,7 +29,7 @@ from repro.allocators.base import allocate_module
 from repro.allocators import (GraphColoring, PolettoLinearScan,
                               SecondChanceBinpacking, TwoPassBinpacking)
 from repro.ir.printer import print_module
-from repro.passes.dce import eliminate_dead_code_module
+from repro.passes.dce import eliminate_dead_code
 from repro.target import alpha, tiny
 from repro.workloads.synthetic import random_module, scaled_module
 
@@ -55,7 +55,8 @@ for name, make in (("second-chance", SecondChanceBinpacking),
     for label, machine, build in programs:
         for context in contexts:
             module = build()
-            eliminate_dead_code_module(module)
+            for fn in module.functions.values():
+                eliminate_dead_code(fn)
             allocate_module(module, make(), machine, context=context)
             print(f"=== {name} {label} ctx={context.describe()} ===")
             print(print_module(module))
@@ -112,13 +113,14 @@ def _allocated_text(allocator_name, context):
     from repro.allocators import ALLOCATOR_FACTORIES
     from repro.allocators.base import allocate_module
     from repro.ir.printer import print_module
-    from repro.passes.dce import eliminate_dead_code_module
+    from repro.passes.dce import eliminate_dead_code
     from repro.target import tiny
     from repro.workloads.synthetic import random_module
 
     machine = tiny(5, 5)
     module = random_module(11, machine, size=40)
-    eliminate_dead_code_module(module)
+    for fn in module.functions.values():
+        eliminate_dead_code(fn)
     allocate_module(module, ALLOCATOR_FACTORIES[allocator_name](),
                     machine, context=context)
     return print_module(module)

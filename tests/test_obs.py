@@ -244,18 +244,6 @@ class TestProfiler:
         assert prof.self_seconds_total() == pytest.approx(
             prof.seconds("root"), abs=1e-9)
 
-    def test_merge_accumulates(self):
-        a, b = PhaseProfiler(), PhaseProfiler()
-        with a.phase("p"):
-            pass
-        with b.phase("p"):
-            pass
-        with b.phase("q"):
-            pass
-        a.merge(b)
-        assert a.phases["p"].calls == 2
-        assert a.phases["q"].calls == 1
-
     def test_render_orders_parents_before_children(self):
         prof = PhaseProfiler()
         with prof.phase("setup"):
@@ -311,14 +299,6 @@ class TestMetrics:
         m.bump("z", 0)  # created but unchanged: not in the diff
         assert m.diff(before) == {"x": 3, "y": 1}
         assert before == {"x": 2}  # snapshot is an independent copy
-
-    def test_merge_sums(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.bump("k", 1)
-        b.bump("k", 2)
-        b.bump("only-b", 7)
-        a.merge(b)
-        assert a.get("k") == 3 and a.get("only-b") == 7
 
     def test_render_filters_by_prefix(self):
         m = MetricsRegistry()

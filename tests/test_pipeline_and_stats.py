@@ -1,20 +1,30 @@
 """The pipeline driver, allocation stats, and the reporting helpers."""
 
+from collections import Counter
+
 import pytest
 
-from repro.allocators import SecondChanceBinpacking
+from repro.allocators import SecondChanceBinpacking, make_allocator
 from repro.allocators.base import SpillSlots, eviction_priority
 from repro.ir.instr import SpillKind, SpillPhase
 from repro.ir.printer import print_module
 from repro.ir.temp import StackSlot, Temp
 from repro.ir.types import RegClass
 from repro.lang import compile_minic
+from repro.lang.lower import LoweringError
 from repro.pm.analysis import AnalysisManager
 from repro.pm.session import CompilationSession
+from repro.results.report import _fraction, figure3_rows
+from repro.results.store import CellKey, ResultStore
 from repro.sim import simulate
+from repro.sim.machine import SimOutcome
+from repro.spill import AllocationContext
 from repro.stats.report import format_table
-from repro.stats.spill import FIGURE3_CATEGORIES, spill_breakdown
-from repro.target import tiny
+from repro.stats.spill import (FIGURE3_CATEGORIES, quality_figures,
+                               spill_breakdown)
+from repro.target import alpha, tiny
+from repro.workloads.programs import PROGRAM_NAMES, build_program
+from tests.conftest import ALLOCATOR_FACTORIES
 
 G = RegClass.GPR
 
@@ -88,7 +98,30 @@ class TestEvictionPriority:
         assert early > nothing_left == 0.0
 
 
+def _figures(evict_load: int, evict_store: int) -> dict:
+    """A quality record whose spill code is all eviction loads/stores."""
+    categories = {f"{phase.value}.{kind.value}": 0
+                  for phase, kind in FIGURE3_CATEGORIES}
+    categories["evict.load"] = evict_load
+    categories["evict.store"] = evict_store
+    return {"dynamic_instructions": 100, "cycles": 100, "result": 0,
+            "spill_categories": categories,
+            "total_spill": evict_load + evict_store}
+
+
+def _figure3(tmp_path, binpack: dict, coloring: dict) -> list[list]:
+    store = ResultStore(tmp_path)
+    store.begin_run("figure3")
+    store.put(CellKey("analog:p", "second-chance"), "h", binpack)
+    store.put(CellKey("analog:p", "coloring"), "h", coloring)
+    store.finish_run({})
+    return figure3_rows(store, ["p"])
+
+
 class TestSpillBreakdown:
+    """The per-category spill counts :func:`quality_figures` reports
+    and Figure 3 normalizes."""
+
     def test_breakdown_matches_outcome(self, tiny_machine):
         source = """
         func int main() {
@@ -103,40 +136,82 @@ class TestSpillBreakdown:
         result = CompilationSession(module, tiny(4, 4)).run(
             SecondChanceBinpacking())
         outcome = simulate(result.module, tiny(4, 4))
-        breakdown = spill_breakdown(outcome)
-        assert breakdown.total_spill == outcome.spill_instructions
-        assert breakdown.fraction() == outcome.spill_fraction()
-        assert len(breakdown.counts) == len(FIGURE3_CATEGORIES) == 6
+        figures = quality_figures(outcome)
+        categories = figures["spill_categories"]
+        assert len(FIGURE3_CATEGORIES) == 6
+        assert len(categories) == len(FIGURE3_CATEGORIES) + 2
         for phase, kind in FIGURE3_CATEGORIES:
-            assert breakdown.category(phase, kind) >= 0
+            assert (categories[f"{phase.value}.{kind.value}"]
+                    == outcome.spill_counts[(phase, kind)])
+        assert figures["total_spill"] == outcome.spill_instructions > 0
+        assert sum(categories.values()) == outcome.spill_instructions
+        view = spill_breakdown(outcome)  # the benchmark harness's reader
+        assert view.total_spill == outcome.spill_instructions
+        assert view.category(SpillPhase.EVICT, SpillKind.LOAD) == \
+            categories["evict.load"]
 
-    def test_normalization(self):
-        from repro.stats.spill import SpillBreakdown
-        a = SpillBreakdown((2, 2, 0, 0, 0, 0), 100)
-        b = SpillBreakdown((1, 1, 0, 0, 0, 0), 100)
-        assert b.normalized_to(a) == [0.25, 0.25, 0, 0, 0, 0]
-        assert sum(a.normalized_to(a)) == pytest.approx(1.0)
+    def test_normalization(self, tmp_path):
+        [binpack, coloring] = _figure3(tmp_path, _figures(2, 2),
+                                       _figures(1, 1))
+        # Each category over the binpacking total of 4.
+        assert binpack[1:7] == ["0.500", "0.500"] + ["0.000"] * 4
+        assert coloring[1:7] == ["0.250", "0.250"] + ["0.000"] * 4
+        assert [binpack[-1], coloring[-1]] == [4, 2]
 
-    def test_normalized_to_zero_baseline_is_none(self):
+    def test_normalized_to_zero_baseline_is_none(self, tmp_path):
         """A spill-free baseline has nothing to normalize against; the
         old ``or 1`` fallback silently reported absolute counts as
         ratios, which inflated spill-free rows in Figure 3."""
-        from repro.stats.spill import SpillBreakdown
-        empty = SpillBreakdown((0, 0, 0, 0, 0, 0), 100)
-        spilled = SpillBreakdown((3, 1, 0, 0, 0, 0), 100)
-        assert spilled.normalized_to(empty) is None
-        assert empty.normalized_to(empty) is None
-        # A non-zero baseline still yields ratios.
-        assert spilled.normalized_to(spilled) is not None
+        rows = _figure3(tmp_path, _figures(0, 0), _figures(3, 1))
+        assert [row[1:7] for row in rows] == [["n/a"] * 6] * 2
+        assert [row[-1] for row in rows] == [0, 4]
+        # Neither allocator spilled: the benchmark has no bar at all.
+        assert _figure3(tmp_path / "none", _figures(0, 0),
+                        _figures(0, 0)) == []
 
     def test_remat_counts(self):
-        from repro.stats.spill import REMAT_CATEGORIES, SpillBreakdown
-        bd = SpillBreakdown((1, 2, 3, 0, 0, 0), 100, remat_counts=(4, 5))
-        assert bd.remat == 9
-        assert bd.total_spill == 6 + 9
+        from repro.stats.spill import REMAT_CATEGORIES
+        counts = Counter({(SpillPhase.EVICT, SpillKind.LOAD): 1,
+                          (SpillPhase.EVICT, SpillKind.STORE): 2,
+                          (SpillPhase.EVICT, SpillKind.MOVE): 3,
+                          (SpillPhase.EVICT, SpillKind.REMAT): 4,
+                          (SpillPhase.RESOLVE, SpillKind.REMAT): 5,
+                          (SpillPhase.PROLOGUE, SpillKind.STORE): 6})
+        outcome = SimOutcome(output=[], result=0, dynamic_instructions=100,
+                             cycles=100, op_counts=Counter(),
+                             spill_counts=counts)
+        figures = quality_figures(outcome)
+        assert figures["total_spill"] == 6 + 9  # prologue excluded
         for (phase, kind), want in zip(REMAT_CATEGORIES, (4, 5)):
-            assert bd.category(phase, kind) == want
+            assert figures["spill_categories"][
+                f"{phase.value}.{kind.value}"] == want
 
+
+
+@pytest.mark.parametrize("name", PROGRAM_NAMES)
+def test_one_spill_tally(name):
+    """Every analog run on alpha and tiny 8x8, under each allocator with
+    remat off and on: the total ``quality_figures`` records is the
+    outcome's own tally and the sum of its categories, and Table 2's
+    fraction of the record is the one ``repro compare`` prints."""
+    runs = 0
+    for machine in (alpha(), tiny(8, 8)):
+        try:
+            module = build_program(name, machine)
+        except LoweringError:
+            continue  # more parameters than tiny has argument registers
+        session = CompilationSession(module, machine)
+        for allocator in ALLOCATOR_FACTORIES:
+            for remat in (False, True):
+                outcome = session.checked_run(
+                    make_allocator(allocator),
+                    context=AllocationContext(remat=remat)).outcome
+                figures = quality_figures(outcome)
+                assert (figures["total_spill"] == outcome.spill_instructions
+                        == sum(figures["spill_categories"].values()))
+                assert _fraction(figures) == outcome.spill_fraction()
+                runs += 1
+    assert runs >= 8
 
 class TestFormatTable:
     def test_alignment_and_rendering(self):

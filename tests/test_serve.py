@@ -1,10 +1,10 @@
 """The allocation service: protocol, cache, server round-trips.
 
-The server fixture runs in-process (``jobs=0`` — thread executor, no
-process pool spin-up) on a per-test store, so these stay tier-1 fast;
-one marked test exercises the real process pool.  Cache-key stability
-is checked *across interpreter processes with different hash seeds*,
-because that is exactly what lets the cache persist.
+The server fixture runs the server on a background thread with the
+shipped executor, a one-worker process pool (``jobs=1``), on a per-test
+store.  Cache-key stability is checked *across interpreter processes
+with different hash seeds*, because that is exactly what lets the cache
+persist.
 """
 
 from __future__ import annotations
@@ -59,6 +59,10 @@ class TestProtocol:
          "bad-request"),                                           # both
         (json.dumps({"op": "allocate", "minic": MINIC,
                      "machine": "vax"}), "bad-request"),
+        (json.dumps({"op": "allocate", "minic": MINIC,
+                     "machine": "tiny:33x4"}), "bad-request"),
+        (json.dumps({"op": "allocate", "minic": MINIC,
+                     "machine": "tiny:3000000x4"}), "bad-request"),
         (json.dumps({"op": "allocate", "minic": MINIC,
                      "allocator": "magic"}), "bad-request"),
         (json.dumps({"op": "allocate", "minic": MINIC,
@@ -134,7 +138,7 @@ class TestCacheKey:
 # ----------------------------------------------------------------------
 @pytest.fixture
 def server(tmp_path):
-    srv = AllocationServer(str(tmp_path / "store"), jobs=0)
+    srv = AllocationServer(str(tmp_path / "store"), jobs=1)
     thread = threading.Thread(target=srv.run, daemon=True)
     thread.start()
     srv.wait_ready()
@@ -201,6 +205,21 @@ class TestServer:
             client.allocate(ir="definitely not ir {{{")
         assert err.value.code == "parse-error"
         assert client.ping()["ok"] is True
+
+    def test_pool_survives_a_parse_error(self, client):
+        # The worker returns the failure as data: the same pool then
+        # computes a fresh miss, and the earlier artifact is still cached.
+        assert client.request(dict(IR_REQUEST))["cached"] is False
+        with pytest.raises(ServeError) as err:
+            client.allocate(ir="garbage {{{")
+        assert err.value.code == "parse-error"
+        other = dict(IR_REQUEST, minic=MINIC.replace("6", "5"))
+        assert client.request(other)["result"] == 5
+        assert client.request(dict(IR_REQUEST))["cached"] is True
+
+    def test_zero_workers_is_refused(self, tmp_path):
+        with pytest.raises(ValueError, match="at least one worker"):
+            AllocationServer(str(tmp_path / "store"), jobs=0)
 
     def test_oversized_line_bounded_rejection(self, server):
         # A line over the stream limit cannot be framed: the server
@@ -286,7 +305,7 @@ class TestServer:
         store = str(tmp_path / "store")
 
         def one_request(expect_cached: bool) -> None:
-            srv = AllocationServer(store, jobs=0)
+            srv = AllocationServer(store, jobs=1)
             thread = threading.Thread(target=srv.run, daemon=True)
             thread.start()
             srv.wait_ready()
@@ -304,7 +323,7 @@ class TestServer:
         assert len(cache) == 1
 
     def test_shutdown_op_stops_server(self, tmp_path):
-        srv = AllocationServer(str(tmp_path / "store"), jobs=0)
+        srv = AllocationServer(str(tmp_path / "store"), jobs=1)
         thread = threading.Thread(target=srv.run, daemon=True)
         thread.start()
         srv.wait_ready()
@@ -345,21 +364,3 @@ class TestLoad:
         assert report.median_s == _percentiles(samples)["median_s"] == 0.3
         assert report.p90_s == _percentiles(samples)["p90_s"] == 0.4
         assert LoadReport().median_s == 0.0 and _percentiles([]) == {}
-
-    def test_process_pool_executor_end_to_end(self, tmp_path):
-        # jobs=1: a real ProcessPoolExecutor carries the allocation.
-        srv = AllocationServer(str(tmp_path / "store"), jobs=1)
-        thread = threading.Thread(target=srv.run, daemon=True)
-        thread.start()
-        srv.wait_ready()
-        try:
-            with ServeClient("127.0.0.1", srv.port) as c:
-                assert c.request(dict(IR_REQUEST))["cached"] is False
-                with pytest.raises(ServeError) as err:
-                    c.allocate(ir="garbage {{{")
-                assert err.value.code == "parse-error"
-                # The pool survived the failure.
-                assert c.request(dict(IR_REQUEST))["cached"] is True
-        finally:
-            srv.request_shutdown()
-            thread.join(timeout=30)

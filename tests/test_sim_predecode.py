@@ -174,8 +174,7 @@ class TestFaultEquivalence:
         module = Module()
         module.add_function(fn)
         module.add_function(helper)
-        fast, ref = run_both(module, machine, trap_poison=True,
-                             check_callee_saved=False)
+        fast, ref = run_both(module, machine, trap_poison=True)
         assert fast == ref
         assert fast[0] == "fault" and "still poisoned by a call" in fast[1]
 
@@ -405,7 +404,7 @@ class TestHotTierFaults:
         """The callee's read segment runs hot over written slots, then a
         call skips the store and its pooled frame's slot is unset."""
         machine = tiny(4, 4)
-        arg = machine.gprs[0]
+        arg = machine.param_regs(RegClass.GPR)[0]
         slot = StackSlot(0, RegClass.GPR)
         helper = Function("helper")
         hb = FunctionBuilder(helper)
@@ -433,8 +432,7 @@ class TestHotTierFaults:
         module.add_function(fn)
         module.add_function(helper)
         self.check(tier, module, machine,
-                   "helper: load of never-written [s0]",
-                   check_callee_saved=False, poison_calls=False)
+                   "helper: load of never-written [s0]")
 
     @pytest.mark.parametrize("tier", TIERS)
     def test_poisoned_read_mid_segment(self, tier):
@@ -497,8 +495,8 @@ class TestFramePool:
         hb.new_block("entry")
         sel = helper.new_temp(RegClass.GPR)
         loaded = helper.new_temp(RegClass.GPR)
-        # arg protocol: tiny's first GPR carries the selector
-        arg = machine.gprs[0]
+        # the first parameter register carries the selector
+        arg = machine.param_regs(RegClass.GPR)[0]
         hb.emit(Instr(Op.MOV, defs=[sel], uses=[arg]))
         hb.emit(Instr(Op.BR, uses=[sel], targets=["write", "read"]))
         hb.new_block("write")
@@ -518,8 +516,7 @@ class TestFramePool:
         module = Module()
         module.add_function(fn)
         module.add_function(helper)
-        fast, ref = run_both(module, machine, check_callee_saved=False,
-                             poison_calls=False)
+        fast, ref = run_both(module, machine)
         assert fast == ref
         assert fast == ("fault", "helper: load of never-written [s0]")
 

@@ -11,13 +11,13 @@ reloading them, without changing the program's observable behaviour.
 import pytest
 
 from repro.allocators import ALLOCATOR_FACTORIES
-from repro.ir.instr import Op, SpillKind, SpillPhase
+from repro.ir.instr import Op
 from repro.lang import compile_minic
-from repro.passes.verify_alloc import verify_dataflow_module
+from repro.passes.verify_alloc import verify_dataflow
 from repro.pm.session import CompilationSession
 from repro.sim import simulate
 from repro.spill import DEFAULT_CONTEXT, STRESS_MODES, AllocationContext
-from repro.stats.spill import spill_breakdown
+from repro.stats.spill import quality_figures
 from repro.target import tiny
 
 #: Eight live single-definition constants on a four-register machine:
@@ -103,20 +103,22 @@ class TestRematerialization:
         snapshots = snapshot_module(working)
         allocate_module(working, ALLOCATOR_FACTORIES[name](), machine,
                         context=AllocationContext(remat=True))
-        verify_dataflow_module(working, machine, snapshots)
+        for fn_name, fn in working.functions.items():
+            verify_dataflow(fn, machine, snapshots[fn_name])
 
         base_out = simulate(base.module, machine)
         remat_out = simulate(remat.module, machine)
         assert remat_out.output == base_out.output
 
-        base_bd = spill_breakdown(base_out)
-        remat_bd = spill_breakdown(remat_out)
-        assert base_bd.remat == 0
-        assert remat_bd.remat > 0
-        loads = (SpillPhase.EVICT, SpillKind.LOAD)
-        assert (remat_bd.category(*loads) + remat_bd.remat
-                >= base_bd.category(*loads))
-        assert remat_bd.category(*loads) < base_bd.category(*loads)
+        base_cats = quality_figures(base_out)["spill_categories"]
+        remat_cats = quality_figures(remat_out)["spill_categories"]
+        base_remats = base_cats["evict.remat"] + base_cats["resolve.remat"]
+        remats = remat_cats["evict.remat"] + remat_cats["resolve.remat"]
+        assert base_remats == 0
+        assert remats > 0
+        assert (remat_cats["evict.load"] + remats
+                >= base_cats["evict.load"])
+        assert remat_cats["evict.load"] < base_cats["evict.load"]
         assert remat_out.cycles <= base_out.cycles
 
     def test_remat_instructions_are_tagged_constants(self):

@@ -63,6 +63,14 @@ class TestTiny:
         with pytest.raises(ValueError):
             tiny(4, 3)
 
+    def test_maximum_size_enforced(self):
+        """Alpha's 32 registers bound each file, so a client's spec
+        cannot make the server build a huge register file."""
+        assert tiny(32, 32).file_size(RegClass.GPR) == 32
+        for sizes in ((33, 4), (4, 33), (3_000_000, 4)):
+            with pytest.raises(ValueError, match="at most 32"):
+                tiny(*sizes)
+
     def test_construction_validates_indices(self):
         with pytest.raises(ValueError):
             MachineDescription("bad", 4, 4, (9,), (), (1,), (1,), 0, 0)

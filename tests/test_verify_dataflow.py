@@ -24,10 +24,9 @@ import pytest
 from repro.allocators.base import allocate_module
 from repro.ir.instr import Op
 from repro.ir.temp import PhysReg
-from repro.passes.dce import eliminate_dead_code_module
+from repro.passes.dce import eliminate_dead_code
 from repro.passes.verify_alloc import (AllocationVerifyError,
-                                       snapshot_module, verify_dataflow,
-                                       verify_dataflow_module)
+                                       snapshot_module, verify_dataflow)
 from repro.pm.session import CompilationSession
 from repro.sim import SimulationError, outputs_equal, simulate
 from repro.target import alpha, tiny
@@ -35,11 +34,18 @@ from repro.workloads.synthetic import random_module
 from tests.conftest import ALLOCATOR_FACTORIES
 
 
+def _verify_module(module, machine, snapshots):
+    """:func:`verify_dataflow` over every function of ``module``."""
+    for name, fn in module.functions.items():
+        verify_dataflow(fn, machine, snapshots[name])
+
+
 def _allocated_with_snapshot(seed, machine, allocator_name, size=30):
     """(allocated module, snapshots) for one random program."""
     module = random_module(seed, machine, size=size)
     working = copy.deepcopy(module)
-    eliminate_dead_code_module(working)
+    for fn in working.functions.values():
+        eliminate_dead_code(fn)
     snapshots = snapshot_module(working)
     allocate_module(working, ALLOCATOR_FACTORIES[allocator_name](), machine)
     return module, working, snapshots
@@ -52,14 +58,14 @@ class TestSoundness:
         machine = tiny(5, 5)
         _, working, snapshots = _allocated_with_snapshot(
             seed, machine, allocator)
-        verify_dataflow_module(working, machine, snapshots)
+        _verify_module(working, machine, snapshots)
 
     @pytest.mark.parametrize("allocator", list(ALLOCATOR_FACTORIES))
     def test_no_false_positives_alpha(self, allocator):
         machine = alpha()
         _, working, snapshots = _allocated_with_snapshot(
             7, machine, allocator)
-        verify_dataflow_module(working, machine, snapshots)
+        _verify_module(working, machine, snapshots)
 
 
 class TestSensitivity:
@@ -68,7 +74,7 @@ class TestSensitivity:
         machine = tiny(5, 5)
         _, working, snapshots = _allocated_with_snapshot(
             3, machine, "second-chance")
-        verify_dataflow_module(working, machine, snapshots)  # clean baseline
+        _verify_module(working, machine, snapshots)  # clean baseline
 
         fn = working.functions["main"]
         caught = 0
@@ -88,7 +94,7 @@ class TestSensitivity:
                 tried += 1
                 instr.defs[0] = alt
                 try:
-                    verify_dataflow_module(working, machine, snapshots)
+                    _verify_module(working, machine, snapshots)
                 except AllocationVerifyError as exc:
                     caught += 1
                     assert "main/" in str(exc)
@@ -128,7 +134,7 @@ class TestSensitivity:
                         if diverges:
                             sim_observable += 1
                             with pytest.raises(AllocationVerifyError):
-                                verify_dataflow_module(
+                                _verify_module(
                                     working, machine, snapshots)
                     finally:
                         instr.defs[0] = old
@@ -151,7 +157,7 @@ class TestSensitivity:
                             and instr.slot in loaded_slots):
                         saved = block.instrs.pop(i)
                         try:
-                            verify_dataflow_module(working, machine, snapshots)
+                            _verify_module(working, machine, snapshots)
                         except AllocationVerifyError:
                             removed += 1
                         finally:
