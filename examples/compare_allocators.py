@@ -2,16 +2,18 @@
 
 Usage::
 
-    python examples/compare_allocators.py [benchmark] [--machine tiny|alpha]
+    python examples/compare_allocators.py [benchmark] [--machine SPEC]
 
-e.g. ``python examples/compare_allocators.py doduc``.  Runs second-chance
+e.g. ``python examples/compare_allocators.py doduc`` or
+``python examples/compare_allocators.py wc --machine tiny:8x8``; SPEC is
+``alpha`` (the default) or ``tiny:<G>x<F>``.  Runs second-chance
 binpacking, two-pass binpacking, George–Appel coloring, and Poletto
 linear scan on one of the paper's benchmark analogs and prints a Table-1
 style comparison: dynamic instructions, simulated cycles, spill
 percentage, and core allocation time.
 """
 
-import sys
+import argparse
 
 from repro.allocators import (
     GraphColoring,
@@ -23,7 +25,7 @@ from repro.pm.session import CompilationSession
 from repro.sim import simulate
 from repro.sim.machine import outputs_equal
 from repro.stats.report import format_table
-from repro.target import alpha, tiny
+from repro.target import machine_from_spec
 from repro.workloads.programs import PROGRAM_NAMES, build_program
 
 ALLOCATORS = [
@@ -35,9 +37,16 @@ ALLOCATORS = [
 
 
 def main() -> None:
-    args = [a for a in sys.argv[1:] if not a.startswith("--")]
-    name = args[0] if args else "doduc"
-    machine = tiny(8, 8) if "--machine=tiny" in sys.argv else alpha()
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("benchmark", nargs="?", default="doduc")
+    parser.add_argument("--machine", default="alpha", metavar="SPEC",
+                        help="alpha or tiny:<G>x<F> (default: alpha)")
+    args = parser.parse_args()
+    name = args.benchmark
+    try:
+        machine = machine_from_spec(args.machine)
+    except ValueError as exc:
+        parser.error(str(exc))
     if name not in PROGRAM_NAMES:
         raise SystemExit(f"unknown benchmark {name!r}; choose from "
                          f"{', '.join(PROGRAM_NAMES)}")

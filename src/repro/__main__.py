@@ -22,14 +22,18 @@ Subcommands:
                           against the checked-in goldens, ``--diff A B``
                           compares two suite runs (docs/REPORTING.md);
 * ``serve``             — run the allocation service (JSONL over a
-                          socket + minimal HTTP) with its persistent
-                          cache (docs/SERVING.md).
+                          socket) with its persistent cache
+                          (docs/SERVING.md).
 
-Options shared by all subcommands: ``--machine alpha|tiny`` (default
-alpha), ``--allocator second-chance|two-pass|coloring|poletto`` (default
-second-chance, where a single allocator applies), ``--spill-cleanup``,
-and ``--trace-out FILE.jsonl`` (write every allocation event as one
-JSON object per line; see docs/OBSERVABILITY.md for the schema).
+Options shared by the single-module subcommands: ``--machine SPEC``
+(``alpha``, the default, or ``tiny:<G>x<F>``), ``--context DESC`` (the
+allocation context, e.g. ``remat,stress=shuffle,seed=7``; empty by
+default), ``--allocator second-chance|two-pass|coloring|poletto``
+(default second-chance, where a single allocator applies),
+``--spill-cleanup``, and ``--trace-out FILE.jsonl`` (write every
+allocation event as one JSON object per line; see docs/OBSERVABILITY.md
+for the schema).  The machine and context strings are the ones the
+suite, the store, ``repro serve`` and fuzz witnesses use.
 """
 
 from __future__ import annotations
@@ -46,26 +50,20 @@ from repro.pm.batch import compare_allocators
 from repro.pm.session import CompilationSession
 from repro.sim import simulate
 from repro.sim.machine import OracleMismatch, mismatch
-from repro.spill import STRESS_MODES, AllocationContext
+from repro.spill import AllocationContext
 from repro.stats.report import format_table
-from repro.target import alpha, tiny
+from repro.target import machine_from_spec
 
 
-def _context(args: argparse.Namespace) -> AllocationContext:
-    """The :class:`AllocationContext` the shared ``--remat`` /
-    ``--stress`` / ``--stress-seed`` flags describe (the inert default
-    when none were given)."""
-    return AllocationContext(remat=getattr(args, "remat", False),
-                             stress=getattr(args, "stress", "none"),
-                             seed=getattr(args, "stress_seed", 0))
-
-
-def _machine(name: str):
-    if name == "alpha":
-        return alpha()
-    if name == "tiny":
-        return tiny(8, 8)
-    raise SystemExit(f"unknown machine {name!r} (alpha or tiny)")
+def _spec_type(parse):
+    """An argparse ``type`` that reports ``parse``'s :class:`ValueError`
+    (which names the accepted form) as the usage error."""
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc))
+    return convert
 
 
 def _load_module(path: str, machine):
@@ -112,13 +110,13 @@ def _checked_run(args: argparse.Namespace, allocator, module, machine,
     try:
         return CompilationSession(module, machine).checked_run(
             allocator, spill_cleanup=args.spill_cleanup, trace=trace,
-            context=_context(args))
+            context=args.context)
     except OracleMismatch as exc:
         raise SystemExit(f"{allocator.name}: {exc}")
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    machine = _machine(args.machine)
+    machine = args.machine
     module = _load_module(args.file, machine)
     allocator = make_allocator(args.allocator)
     with _TraceOut(args) as out:
@@ -134,7 +132,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_compile(args: argparse.Namespace) -> int:
-    machine = _machine(args.machine)
+    machine = args.machine
     module = _load_module(args.file, machine)
     if not args.allocate:
         print(print_module(module))
@@ -143,7 +141,7 @@ def cmd_compile(args: argparse.Namespace) -> int:
     with _TraceOut(args) as out:
         result = CompilationSession(module, machine).run(
             allocator, spill_cleanup=args.spill_cleanup, trace=out.tracer(),
-            context=_context(args))
+            context=args.context)
     print(print_module(result.module))
     return 0
 
@@ -154,7 +152,7 @@ def _comparison(args: argparse.Namespace, module, machine) -> int:
     with _TraceOut(args) as out:
         cells = compare_allocators(
             module, machine, spill_cleanup=args.spill_cleanup, jobs=args.jobs,
-            trace=out.tracer(), context=_context(args))
+            trace=out.tracer(), context=args.context)
     rows = []
     for cell in cells:
         problem = mismatch(reference, cell)
@@ -169,7 +167,7 @@ def _comparison(args: argparse.Namespace, module, machine) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    machine = _machine(args.machine)
+    machine = args.machine
     return _comparison(args, _load_module(args.file, machine), machine)
 
 
@@ -179,14 +177,14 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if args.name not in PROGRAM_NAMES:
         raise SystemExit(f"unknown analog {args.name!r}; choose from "
                          f"{', '.join(PROGRAM_NAMES)}")
-    machine = _machine(args.machine)
+    machine = args.machine
     module = build_program(args.name, machine)
     print(f"benchmark analog: {args.name} on {machine}")
     return _comparison(args, module, machine)
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
-    machine = _machine(args.machine)
+    machine = args.machine
     module = _load_module(args.file, machine)
     allocator = make_allocator(args.allocator)
     text_sink = None if args.quiet else TextSink(sys.stdout)
@@ -207,7 +205,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
-    machine = _machine(args.machine)
+    machine = args.machine
     module = _load_module(args.file, machine)
     allocator = make_allocator(args.allocator)
     profiler = PhaseProfiler()
@@ -218,7 +216,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
         session = CompilationSession(module, machine, metrics=metrics)
         result = session.run(allocator, spill_cleanup=args.spill_cleanup,
                              profiler=profiler, trace=out.tracer(),
-                             metrics=metrics, context=_context(args))
+                             metrics=metrics, context=args.context)
     stats = result.stats
     print(profiler.render(title=f"phase profile: {allocator.name}"))
     print(f"alloc_seconds = {stats.alloc_seconds * 1e3:.3f} ms "
@@ -254,30 +252,19 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     if not report.ok and args.out:
         # One parseable witness: the first divergence's module, with the
         # attribution as ;;-comments (the IR comment marker), so the file
-        # feeds straight into tools/shrink_ir.py.  The context line makes
-        # the witness self-replaying: shrink_ir reads it back, so stress/
-        # remat failures reproduce with no flags to reconstruct by hand.
-        from repro.spill import AllocationContext
+        # feeds straight into tools/shrink_ir.py.  The replay line is the
+        # shrink_ir command that reproduces it, machine and context
+        # spelled as everywhere else.
+        import shlex
 
         div = report.divergences[0]
         header = [f"{div.kind} config={div.config} {div.describe}"]
+        replay = ["tools/shrink_ir.py", args.out, "--config", div.config,
+                  "--kind", div.kind, "--machine", div.machine]
         if div.context:
-            ctx = AllocationContext.parse(div.context)
-            machine = next((tok[len("machine="):]
-                            for tok in div.describe.split()
-                            if tok.startswith("machine=")), "")
-            if machine.startswith("tiny(") and machine.endswith(")"):
-                gpr, fpr = machine[len("tiny("):-1].split(",")
-                machine_args = ["--machine", "tiny",
-                                "--gpr", gpr, "--fpr", fpr]
-            elif machine:
-                machine_args = ["--machine", machine]
-            else:
-                machine_args = []
             header.append(f"context={div.context}")
-            header.append(f"replay: tools/shrink_ir.py {args.out} "
-                          f"--config {div.config} --kind {div.kind} "
-                          f"{' '.join(machine_args + ctx.cli_args())}")
+            replay += ["--context", div.context]
+        header.append(f"replay: {shlex.join(replay)}")
         header.extend(div.message.splitlines())
         with open(args.out, "w") as fh:
             for line in header:
@@ -391,24 +378,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="Linear-scan register allocation reproduction CLI")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def context_options(p: argparse.ArgumentParser):
-        p.add_argument("--remat", action="store_true",
-                       help="rematerialize single-definition constants "
-                            "instead of reloading them from spill slots")
-        p.add_argument("--stress", default="none", choices=list(STRESS_MODES),
-                       help="seeded allocator stress mode (default: none)")
-        p.add_argument("--stress-seed", type=int, default=0, metavar="N",
-                       help="seed for the stress mode's RNG (default: 0)")
-
     def common(p: argparse.ArgumentParser, with_allocator: bool = True):
-        p.add_argument("--machine", default="alpha",
-                       choices=["alpha", "tiny"],
-                       help="target machine (default: alpha)")
+        p.add_argument("--machine", default="alpha", metavar="SPEC",
+                       type=_spec_type(machine_from_spec),
+                       help="target machine: alpha or tiny:<G>x<F> "
+                            "(default: alpha)")
+        p.add_argument("--context", default="", metavar="DESC",
+                       type=_spec_type(AllocationContext.parse),
+                       help="allocation context: remat, stress=<mode>, "
+                            "seed=<N>, comma-separated (e.g. "
+                            "remat,stress=shuffle,seed=7; default: none)")
         p.add_argument("--spill-cleanup", action="store_true",
                        help="run the post-allocation spill-code cleanup")
         p.add_argument("--trace-out", metavar="FILE.jsonl", default=None,
                        help="write allocation events as JSON lines")
-        context_options(p)
         if with_allocator:
             p.add_argument("--allocator", default="second-chance",
                            choices=sorted(ALLOCATOR_FACTORIES),
@@ -550,7 +533,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args, unknown = parser.parse_known_args(argv)
+    if unknown:
+        parser.error(f"unrecognized arguments: {' '.join(unknown)} (a run "
+                     f"takes --machine SPEC and --context DESC)")
     return args.func(args)
 
 

@@ -44,7 +44,7 @@ from __future__ import annotations
 from repro.allocators.base import AllocationStats, SharedAnalyses
 from repro.allocators.binpack.state import MEM, BlockRecord, Location, ScanState
 from repro.cfg.cfg import split_edge
-from repro.dataflow.framework import DataflowProblem, Direction, solve
+from repro.dataflow.framework import DataflowProblem, solve
 from repro.dataflow.liveness import LivenessInfo
 from repro.ir.function import Function
 from repro.ir.instr import Instr, Op, SpillPhase
@@ -190,7 +190,7 @@ def resolve_edges(fn: Function, machine: MachineDescription,
             gen = {label: records[label].used_consistency | extra_gen[label]
                    for label in records}
             kill = {label: records[label].wrote_tr for label in records}
-            result = solve(DataflowProblem(cfg, Direction.BACKWARD, gen, kill))
+            result = solve(DataflowProblem(cfg, gen, kill))
             used_c_in = result.in_
             iterations = result.iterations
 

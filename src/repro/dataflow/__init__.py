@@ -10,12 +10,11 @@ as the highest global id.
 """
 
 from repro.dataflow.bitvector import bits_of, translate_mask
-from repro.dataflow.framework import DataflowProblem, Direction, solve
+from repro.dataflow.framework import DataflowProblem, solve
 from repro.dataflow.liveness import LivenessInfo, compute_liveness
 
 __all__ = [
     "DataflowProblem",
-    "Direction",
     "LivenessInfo",
     "bits_of",
     "compute_liveness",

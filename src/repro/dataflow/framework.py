@@ -1,8 +1,8 @@
 """A small generic iterative bit-vector dataflow solver.
 
-Both block-level analyses in this repo are classic GEN/KILL union
-problems — backward liveness, and the binpacking allocator's
-``USED_CONSISTENCY`` propagation (Section 2.4):
+Every block-level analysis in this repo is a backward GEN/KILL union
+problem — liveness, the spill-store cleanup's slot liveness, and the
+binpacking allocator's ``USED_CONSISTENCY`` propagation (Section 2.4):
 
     USED_C_out(b) = union over successors s of USED_C_in(s)
     USED_C_in(b)  = USED_CONSISTENCY(b) | (USED_C_out(b) & ~WROTE_TR(b))
@@ -15,33 +15,21 @@ by reporting iteration counts.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 from repro.cfg.cfg import CFG
 
 
-class Direction(enum.Enum):
-    """Dataflow direction."""
-
-    FORWARD = "forward"
-    BACKWARD = "backward"
-
-
 @dataclass(eq=False)
 class DataflowProblem:
-    """A union GEN/KILL problem over a CFG.
-
-    For ``BACKWARD`` problems: ``out(b) = union of in(s) for successors``
-    and ``in(b) = gen(b) | (out(b) & ~kill(b))``.  ``FORWARD`` problems
-    are the mirror image over predecessors.
+    """A backward union GEN/KILL problem over a CFG:
+    ``out(b) = union of in(s) for successors`` (0 for an exit block) and
+    ``in(b) = gen(b) | (out(b) & ~kill(b))``.
     """
 
     cfg: CFG
-    direction: Direction
     gen: dict[str, int]
     kill: dict[str, int]
-    boundary: int = 0  # the meet value for blocks with no successors/preds
 
 
 @dataclass
@@ -55,13 +43,12 @@ class DataflowResult:
 
 def solve(problem: DataflowProblem) -> DataflowResult:
     """Iterate the problem's equations to a fixed point (worklist order:
-    postorder for backward problems, reverse postorder for forward)."""
+    postorder, so a block comes after its successors, back edges aside)."""
     cfg = problem.cfg
     labels = [b.label for b in cfg.fn.blocks]
     in_ = {label: 0 for label in labels}
     out = {label: 0 for label in labels}
-    backward = problem.direction is Direction.BACKWARD
-    order = cfg.postorder() if backward else cfg.reverse_postorder()
+    order = cfg.postorder()
     # Include unreachable blocks so every label has a defined value.
     # (Hoisted out of the comprehension: rebuilding the set per label
     # made this scan quadratic in the block count.)
@@ -75,24 +62,12 @@ def solve(problem: DataflowProblem) -> DataflowResult:
         changed = False
         iterations += 1
         for label in order:
-            if backward:
-                succs = cfg.succs[label]
-                meet = problem.boundary if not succs else 0
-                for s in succs:
-                    meet |= in_[s]
-                out[label] = meet
-                new_in = problem.gen[label] | (meet & ~problem.kill[label])
-                if new_in != in_[label]:
-                    in_[label] = new_in
-                    changed = True
-            else:
-                preds = cfg.preds[label]
-                meet = problem.boundary if not preds else 0
-                for p in preds:
-                    meet |= out[p]
-                in_[label] = meet
-                new_out = problem.gen[label] | (meet & ~problem.kill[label])
-                if new_out != out[label]:
-                    out[label] = new_out
-                    changed = True
+            meet = 0
+            for s in cfg.succs[label]:
+                meet |= in_[s]
+            out[label] = meet
+            new_in = problem.gen[label] | (meet & ~problem.kill[label])
+            if new_in != in_[label]:
+                in_[label] = new_in
+                changed = True
     return DataflowResult(in_, out, iterations)

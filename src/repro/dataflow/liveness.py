@@ -25,7 +25,7 @@ from typing import Iterable
 
 from repro.cfg.cfg import CFG
 from repro.dataflow.bitvector import bits_of
-from repro.dataflow.framework import DataflowProblem, Direction, solve
+from repro.dataflow.framework import DataflowProblem, solve
 from repro.ir.function import Function
 from repro.ir.temp import Temp
 
@@ -110,7 +110,7 @@ def compute_liveness(fn: Function, cfg: CFG | None = None) -> LivenessInfo:
     gen = {label: _mask_of(exposed) for label, exposed in ue.items()}
     kill_masks = {label: _mask_of(defined) & global_mask
                   for label, defined in kill.items()}
-    result = solve(DataflowProblem(cfg, Direction.BACKWARD, gen, kill_masks))
+    result = solve(DataflowProblem(cfg, gen, kill_masks))
     return LivenessInfo(temps, global_mask, result.in_, result.out,
                         result.iterations)
 

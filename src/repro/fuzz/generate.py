@@ -15,18 +15,11 @@ import random
 from dataclasses import dataclass
 
 from repro.ir.module import Module
-from repro.target import alpha, tiny
-from repro.target.machine import MachineDescription
+from repro.target import MachineDescription, machine_from_spec
 from repro.workloads.synthetic import random_module
 
 #: The machine rotation: mostly tiny files (pressure), some full alpha.
-_MACHINES: tuple[tuple[str, tuple[int, int] | None], ...] = (
-    ("tiny(4,4)", (4, 4)),
-    ("tiny(5,5)", (5, 5)),
-    ("tiny(6,6)", (6, 6)),
-    ("tiny(8,8)", (8, 8)),
-    ("alpha", None),
-)
+_MACHINES = ("tiny:4x4", "tiny:5x5", "tiny:6x6", "tiny:8x8", "alpha")
 
 
 @dataclass(frozen=True)
@@ -46,14 +39,14 @@ def program_for_seed(seed: int) -> GeneratedProgram:
     machine, so any reported failure is reproducible from its seed alone.
     """
     rng = random.Random(seed ^ 0x5EED)
-    mname, files = _MACHINES[seed % len(_MACHINES)]
-    machine = alpha() if files is None else tiny(*files)
+    spec = _MACHINES[seed % len(_MACHINES)]
+    machine = machine_from_spec(spec)
     size = rng.choice((15, 25, 35, 50))
     n_helpers = rng.choice((1, 1, 2))
     n_int_vars = rng.randint(3, 8)
     n_float_vars = rng.randint(1, 5)
     module = random_module(seed, machine, size=size, n_helpers=n_helpers,
                            n_int_vars=n_int_vars, n_float_vars=n_float_vars)
-    describe = (f"seed={seed} machine={mname} size={size} "
+    describe = (f"seed={seed} machine={spec} size={size} "
                 f"helpers={n_helpers} ivars={n_int_vars} fvars={n_float_vars}")
     return GeneratedProgram(seed, module, machine, describe)

@@ -39,7 +39,7 @@ from repro.pm.session import CompilationSession
 from repro.sim import SimulationError, simulate
 from repro.sim.machine import mismatch
 from repro.spill import DEFAULT_CONTEXT, AllocationContext
-from repro.target.machine import MachineDescription
+from repro.target import MachineDescription, machine_spec
 
 
 @dataclass(frozen=True)
@@ -117,6 +117,7 @@ class Divergence:
     kind: str  # "crash" | "verify" | "dataflow" | "sim-fault" | "mismatch"
     message: str
     describe: str
+    machine: str  # the machine's spec (repro.target.machine_spec)
     module_text: str  # IR text of the (shrunken) failing module
     shrunk_from: int  # instruction count before shrinking
     shrunk_to: int
@@ -266,7 +267,9 @@ def run_seed(seed: int, *, configs: tuple[FuzzConfig, ...] = CONFIG_GRID,
                                          shrink_budget)
         rep.divergences.append(Divergence(
             seed=seed, config=config.name, kind=kind, message=message,
-            describe=program.describe, module_text=print_module(witness),
+            describe=program.describe,
+            machine=machine_spec(program.machine),
+            module_text=print_module(witness),
             shrunk_from=size,
             shrunk_to=sum(fn.instruction_count()
                           for fn in witness.functions.values()),

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.cfg.cfg import CFG
-from repro.dataflow.framework import DataflowProblem, Direction, solve
+from repro.dataflow.framework import DataflowProblem, solve
 from repro.ir.function import Function
 from repro.ir.instr import Instr, Op, SpillPhase
 from repro.ir.temp import PhysReg, StackSlot
@@ -137,7 +137,7 @@ def _remove_dead_stores(fn: Function, analyses=None) -> int:
                 k |= 1 << index[instr.slot]
         gen[block.label] = g
         kill[block.label] = k
-    result = solve(DataflowProblem(cfg, Direction.BACKWARD, gen, kill))
+    result = solve(DataflowProblem(cfg, gen, kill))
 
     removed = 0
     for block in fn.blocks:

@@ -37,7 +37,7 @@ from repro.obs.trace import Tracer
 from repro.pm.session import CompilationSession
 from repro.sim import simulate
 from repro.spill import AllocationContext
-from repro.target.machine import MachineDescription
+from repro.target import MachineDescription, machine_from_spec
 
 
 def run_batch(worker: Callable[[Any], Any], payloads: Sequence[Any], *,
@@ -126,8 +126,6 @@ def allocation_artifact(payload: dict) -> dict:
     from repro.ir.parser import parse_module
     from repro.lang import compile_minic
     from repro.obs.profile import PhaseProfiler
-    from repro.results.suite import machine_from_spec
-    from repro.spill import AllocationContext
     from repro.stats.spill import quality_figures
 
     def failure(code: str, exc: BaseException) -> dict:

@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import PhaseProfiler
 from repro.results.store import CellKey, Record, ResultStore, content_hash
+from repro.target import machine_from_spec
 
 #: The quality-table analog subsets (mirrors ``REPRO_BENCH_SET``).
 FAST_SET = ["doduc", "fpppp", "compress", "m88ksim", "sort"]
@@ -74,18 +75,6 @@ class SuiteError(RuntimeError):
 # ----------------------------------------------------------------------
 # Workload construction (pure functions of the spec strings).
 # ----------------------------------------------------------------------
-def machine_from_spec(spec: str):
-    from repro.target import alpha, tiny
-
-    if spec == "alpha":
-        return alpha()
-    if spec.startswith("tiny:"):
-        gpr, _, fpr = spec[len("tiny:"):].partition("x")
-        return tiny(int(gpr), int(fpr))
-    raise SuiteError(f"unknown machine spec {spec!r} "
-                     "(alpha, tiny:<G>x<F>, or auto for fuzz workloads)")
-
-
 def build_workload(workload: str, machine_spec: str, order: str):
     """Build ``(module, machine)`` for one cell, block order applied.
 
@@ -172,8 +161,8 @@ def execute_cell(payload: tuple) -> dict:
 
     key_doc, code_hash = payload
     key = CellKey.from_json(key_doc)
-    module, machine = build_workload(key.workload, key.machine, key.order)
     try:
+        module, machine = build_workload(key.workload, key.machine, key.order)
         allocator = make_allocator(
             key.allocator,
             BinpackOptions(**dict(key.options)) if key.options else None)
@@ -396,7 +385,10 @@ def run_suite(specs: list[CellKey], store: ResultStore, *, jobs: int = 1,
         wkey = (spec.workload, spec.machine, spec.order)
         cached = module_hash_cache.get(wkey)
         if cached is None:
-            module, machine = build_workload(*wkey)
+            try:
+                module, machine = build_workload(*wkey)
+            except (SuiteError, ValueError) as exc:
+                raise SuiteError(f"{spec.ident()}: {exc}") from exc
             cached = cell_code_hash(print_module(module), machine)
             module_hash_cache[wkey] = cached
         hashes[spec.ident()] = cached

@@ -18,7 +18,7 @@ Layers:
 * :mod:`repro.serve.cache` — content-addressed artifact cache over the
   crash-safe result store;
 * :mod:`repro.serve.server` — the ``asyncio`` server (JSONL over a
-  socket, plus a minimal HTTP facade);
+  socket);
 * :mod:`repro.serve.client` — a small blocking client;
 * :mod:`repro.serve.load` — the load generator behind
   ``tools/loadgen.py``.  The service's benchmark is perfbench's

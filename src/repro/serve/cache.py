@@ -47,7 +47,8 @@ def artifact_cache_key(request: dict) -> tuple[CellKey, str]:
     Pure and ``PYTHONHASHSEED``-independent: the same request always
     maps to the same cell, in any process, on any day.
     """
-    from repro.results.suite import machine_from_spec, machine_signature
+    from repro.results.suite import machine_signature
+    from repro.target import machine_from_spec
 
     source_kind = "ir" if request.get("ir") else "minic"
     source = request.get("ir") or request.get("minic", "")

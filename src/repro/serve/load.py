@@ -32,6 +32,7 @@ def build_corpus(requests: int, *, dup_ratio: float = 0.5,
     """
     from repro.fuzz.generate import program_for_seed
     from repro.ir.printer import print_module
+    from repro.target import machine_spec
 
     if requests < 1:
         raise ValueError("requests must be >= 1")
@@ -42,11 +43,9 @@ def build_corpus(requests: int, *, dup_ratio: float = 0.5,
     docs = []
     for i in range(unique):
         program = program_for_seed(seed * 10_000 + i)
-        machine = program.machine
-        spec = ("alpha" if machine.name == "alpha"
-                else f"tiny:{machine.n_gpr}x{machine.n_fpr}")
         docs.append({"op": "allocate", "ir": print_module(program.module),
-                     "machine": spec, "allocator": "second-chance",
+                     "machine": machine_spec(program.machine),
+                     "allocator": "second-chance",
                      "context": "", "spill_cleanup": False})
     sequence = list(docs)
     sequence.extend(rng.choice(docs) for _ in range(requests - unique))

@@ -2,8 +2,7 @@
 
 One request is one JSON object on one line (UTF-8, ``\\n``-terminated);
 the response comes back the same way, so any language with a socket
-and a JSON parser is a client.  A minimal HTTP facade over the same
-documents lives in :mod:`repro.serve.server` for curl-ability.
+and a JSON parser is a client.
 
 Request schema (``op: "allocate"``, the default)::
 
@@ -87,8 +86,8 @@ def request_id(doc: Any) -> Any:
 
 def _validate_allocate(doc: dict) -> dict:
     from repro.allocators import ALLOCATOR_FACTORIES
-    from repro.results.suite import SuiteError, machine_from_spec
     from repro.spill import AllocationContext
+    from repro.target import machine_from_spec, machine_spec
 
     ir = doc.get("ir", "")
     minic = doc.get("minic", "")
@@ -101,10 +100,11 @@ def _validate_allocate(doc: dict) -> dict:
     if len(source.encode("utf-8", errors="replace")) > MAX_MODULE_BYTES:
         raise ProtocolError(
             "too-large", f"module source exceeds {MAX_MODULE_BYTES} bytes")
-    machine = doc.get("machine", "alpha")
+    # Machine and context in their canonical spellings, so one
+    # configuration is one store cell.
     try:
-        machine_from_spec(machine)
-    except (SuiteError, ValueError, TypeError) as exc:
+        machine = machine_spec(machine_from_spec(doc.get("machine", "alpha")))
+    except ValueError as exc:
         raise ProtocolError("bad-request", str(exc))
     allocator = doc.get("allocator", "second-chance")
     if allocator not in ALLOCATOR_FACTORIES:
@@ -113,7 +113,8 @@ def _validate_allocate(doc: dict) -> dict:
             f"{', '.join(ALLOCATOR_FACTORIES)}")
     context = doc.get("context", "")
     try:
-        AllocationContext.parse(context if isinstance(context, str) else "?")
+        context = AllocationContext.parse(
+            context if isinstance(context, str) else "?").describe()
     except ValueError as exc:
         raise ProtocolError("bad-request", str(exc))
     return {"op": "allocate", "id": doc.get("id"),

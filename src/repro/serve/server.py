@@ -1,4 +1,4 @@
-"""The asyncio allocation server: JSONL over a socket, plus bare HTTP.
+"""The asyncio allocation server: JSONL over a socket.
 
 One event loop multiplexes every connection; cache hits are answered
 inline (a dictionary lookup plus JSON serialization), and cache misses
@@ -8,10 +8,7 @@ allocation of a client's module runs inside the server process.
 Identical requests in flight at the same time are *coalesced*: one
 allocation runs, every waiter shares the result (``serve.coalesced``).
 
-Both protocols share one port: a connection whose first bytes spell an
-HTTP verb gets the minimal HTTP facade (``POST /allocate``,
-``GET /stats``, ``GET /healthz``, one request per connection); anything
-else is treated as JSONL (many requests per connection, ordered).
+A connection carries many requests, answered in order.
 
 Failure containment, in order of blast radius:
 
@@ -154,22 +151,21 @@ class AllocationServer:
         if task is not None:
             self._connections[task] = writer
         try:
-            try:
-                first = await reader.readline()
-            except (ValueError, asyncio.LimitOverrunError):
-                await self._send(writer, error_response(
-                    None, "too-large",
-                    f"request line exceeds {MAX_LINE_BYTES} bytes"))
-                return
-            if not first:
-                return
-            verb = first.split(b" ", 1)[0]
-            if verb in (b"GET", b"POST", b"HEAD", b"PUT", b"DELETE"):
-                await self._handle_http(first, reader, writer)
-            else:
-                await self._handle_jsonl(first, reader, writer)
-        except (ConnectionResetError, BrokenPipeError,
-                asyncio.IncompleteReadError):
+            while True:
+                try:
+                    line = await reader.readline()
+                except (ValueError, asyncio.LimitOverrunError):
+                    await self._send(writer, error_response(
+                        None, "too-large",
+                        f"request line exceeds {MAX_LINE_BYTES} bytes"))
+                    return
+                if not line:
+                    return
+                response, keep_open = await self._dispatch_line(line)
+                await self._send(writer, response)
+                if not keep_open:
+                    return
+        except (ConnectionResetError, BrokenPipeError):
             # The client vanished mid-stream.  Whatever compute was in
             # flight still lands in the cache; the pool is untouched.
             self.metrics.bump("serve.disconnects")
@@ -181,22 +177,6 @@ class AllocationServer:
                 await writer.wait_closed()
             except (ConnectionResetError, BrokenPipeError, OSError):
                 pass
-
-    async def _handle_jsonl(self, first: bytes, reader: asyncio.StreamReader,
-                            writer: asyncio.StreamWriter) -> None:
-        line = first
-        while line:
-            response, keep_open = await self._dispatch_line(line)
-            await self._send(writer, response)
-            if not keep_open:
-                return
-            try:
-                line = await reader.readline()
-            except (ValueError, asyncio.LimitOverrunError):
-                await self._send(writer, error_response(
-                    None, "too-large",
-                    f"request line exceeds {MAX_LINE_BYTES} bytes"))
-                return
 
     async def _dispatch_line(self, line: bytes) -> tuple[dict, bool]:
         """One request line → (response, keep the connection open?)."""
@@ -310,74 +290,6 @@ class AllocationServer:
     @staticmethod
     async def _send(writer: asyncio.StreamWriter, doc: dict) -> None:
         writer.write(encode(doc))
-        await writer.drain()
-
-    # ------------------------------------------------------------------
-    # The minimal HTTP facade.
-    # ------------------------------------------------------------------
-    async def _handle_http(self, first: bytes, reader: asyncio.StreamReader,
-                           writer: asyncio.StreamWriter) -> None:
-        try:
-            method, path, _version = first.decode("latin-1").split()
-        except ValueError:
-            await self._send_http(writer, 400, error_response(
-                None, "bad-request", "malformed HTTP request line"))
-            return
-        headers: dict[str, str] = {}
-        while True:
-            line = await reader.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-        if method == "GET" and path == "/healthz":
-            await self._send_http(writer, 200, {"ok": True,
-                                                "version": PROTOCOL_VERSION})
-            return
-        if method == "GET" and path == "/stats":
-            await self._send_http(writer, 200, self._stats_response(None))
-            return
-        if method == "POST" and path in ("/allocate", "/shutdown"):
-            try:
-                length = int(headers.get("content-length", "0"))
-            except ValueError:
-                length = -1
-            if length < 0 or length > MAX_LINE_BYTES:
-                await self._send_http(writer, 413, error_response(
-                    None, "too-large", "body exceeds the request bound"))
-                return
-            body = await reader.readexactly(length) if length else b"{}"
-            if path == "/shutdown":
-                assert self._shutdown is not None
-                await self._send_http(writer, 200, {"ok": True,
-                                                    "op": "shutdown"})
-                self._shutdown.set()
-                return
-            response, _keep = await self._dispatch_line(
-                self._force_allocate(body))
-            status = 200 if response.get("ok") else 400
-            await self._send_http(writer, status, response)
-            return
-        await self._send_http(writer, 404, error_response(
-            None, "bad-request", f"no route {method} {path}"))
-
-    @staticmethod
-    def _force_allocate(body: bytes) -> bytes:
-        """POST /allocate bodies may omit ``op``; anything else in the
-        body passes through untouched (one line, JSONL semantics)."""
-        return body.replace(b"\n", b" ") + b"\n"
-
-    @staticmethod
-    async def _send_http(writer: asyncio.StreamWriter, status: int,
-                         doc: dict) -> None:
-        reason = {200: "OK", 400: "Bad Request", 404: "Not Found",
-                  413: "Payload Too Large"}.get(status, "?")
-        body = encode(doc)
-        head = (f"HTTP/1.1 {status} {reason}\r\n"
-                f"Content-Type: application/json\r\n"
-                f"Content-Length: {len(body)}\r\n"
-                f"Connection: close\r\n\r\n").encode("latin-1")
-        writer.write(head + body)
         await writer.drain()
 
 

@@ -1,6 +1,6 @@
 """Run-wide allocation configuration: remat and seeded stress modes.
 
-An :class:`AllocationContext` travels from the CLI through
+An :class:`AllocationContext` travels from the CLI (``--context``) through
 ``pm.session``/``pm.batch`` into every allocator.  The default context
 is inert: every allocator produces byte-identical output with and
 without it.  Non-default contexts switch on
@@ -79,7 +79,8 @@ class AllocationContext:
         return random.Random(f"{self.seed}:{tag}")
 
     # ------------------------------------------------------------------
-    # Serialization: reports, witnesses, cache idents.
+    # Serialization: the one spelling of a context, in the CLI's
+    # ``--context``, reports, witnesses, store cells and serve requests.
     # ------------------------------------------------------------------
     def describe(self) -> str:
         """Canonical compact form; empty for the default context."""
@@ -90,15 +91,6 @@ class AllocationContext:
             parts.append(f"stress={self.stress}")
             parts.append(f"seed={self.seed}")
         return ",".join(parts)
-
-    def cli_args(self) -> list[str]:
-        """CLI flags reproducing this context (for replay commands)."""
-        args = []
-        if self.remat:
-            args.append("--remat")
-        if self.stress != "none":
-            args += ["--stress", self.stress, "--stress-seed", str(self.seed)]
-        return args
 
     @classmethod
     def parse(cls, text: str) -> "AllocationContext":
@@ -112,7 +104,8 @@ class AllocationContext:
             elif part.startswith("seed="):
                 seed = int(part.split("=", 1)[1])
             else:
-                raise ValueError(f"bad context fragment {part!r} in {text!r}")
+                raise ValueError(f"bad context fragment {part!r} in {text!r} "
+                                 "(remat, stress=<mode>, seed=<N>)")
         return cls(remat=remat, stress=stress, seed=seed)
 
 

@@ -39,8 +39,26 @@ class TestRun:
         assert capsys.readouterr().out.strip() == "42"
 
     def test_tiny_machine(self, program, capsys):
-        main(["run", program, "--machine", "tiny"])
+        main(["run", program, "--machine", "tiny:8x8"])
         assert capsys.readouterr().out.strip() == "42"
+
+    def test_spec_machine_under_stressed_context(self, program, capsys):
+        assert main(["run", program, "--machine", "tiny:4x4", "--context",
+                     "remat,stress=shuffle,seed=7"]) == 0
+        assert capsys.readouterr().out.strip() == "42"
+
+    @pytest.mark.parametrize("argv,accepted", [
+        (["--machine", "tiny"], "tiny:<G>x<F>"),
+        (["--machine", "tiny:4x3"], "at least 4 registers"),
+        (["--context", "stress=banana"], "choose from"),
+        (["--remat"], "--context DESC"),
+        (["--stress", "shuffle"], "--context DESC"),
+    ])
+    def test_refuses_other_spellings(self, program, capsys, argv, accepted):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", program, *argv])
+        assert exc.value.code == 2
+        assert accepted in capsys.readouterr().err
 
     def test_missing_file(self):
         with pytest.raises(SystemExit, match="cannot read"):

@@ -2,7 +2,7 @@
 
 from repro.cfg.cfg import CFG
 from repro.dataflow.bitvector import bits_of, translate_mask
-from repro.dataflow.framework import DataflowProblem, Direction, solve
+from repro.dataflow.framework import DataflowProblem, solve
 from repro.dataflow.liveness import compute_liveness
 from repro.ir.builder import FunctionBuilder
 from repro.ir.function import Function
@@ -116,17 +116,6 @@ class TestLiveness:
 
 
 class TestGenericSolver:
-    def test_forward_reaching_like_problem(self):
-        # entry defines bit0; body defines bit1; both reach "out".
-        fn, *_ = loop_function()
-        cfg = CFG.build(fn)
-        gen = {"entry": 0b01, "head": 0, "body": 0b10, "out": 0}
-        kill = {label: 0 for label in gen}
-        result = solve(DataflowProblem(cfg, Direction.FORWARD, gen, kill))
-        assert result.out["out"] == 0b11
-        assert result.in_["head"] == 0b11  # via the back edge
-        assert result.in_["entry"] == 0
-
     def test_unreachable_blocks_covered_in_block_order(self):
         # Unreachable blocks still get defined in/out values, appended
         # after the reachable order in fn.blocks order — with many
@@ -160,10 +149,16 @@ class TestGenericSolver:
         assert info.live_out[f"dead{n - 1}"] == 0
 
     def test_kill_masks_stop_propagation(self):
+        # "out" uses bit0 and "body" uses bit1; "head" kills bit0, so
+        # only bit1 flows on up (round the back edge) into "entry".
         fn, *_ = loop_function()
         cfg = CFG.build(fn)
-        gen = {"entry": 0b1, "head": 0, "body": 0, "out": 0}
-        kill = {"entry": 0, "head": 0b1, "body": 0, "out": 0}
-        result = solve(DataflowProblem(cfg, Direction.FORWARD, gen, kill))
-        assert result.out["head"] == 0
+        gen = {"entry": 0, "head": 0, "body": 0b10, "out": 0b01}
+        kill = {"entry": 0, "head": 0b01, "body": 0, "out": 0}
+        result = solve(DataflowProblem(cfg, gen, kill))
+        assert result.out["head"] == 0b11
+        assert result.in_["head"] == 0b10
+        assert result.out["entry"] == 0b10
+        assert result.out["body"] == 0b10
+        assert result.in_["entry"] == 0b10
         assert result.out["out"] == 0

@@ -10,8 +10,13 @@ end-to-end proof — an intentionally broken ``sequentialize_moves``
 
 from __future__ import annotations
 
+import importlib.util
+import shlex
+from pathlib import Path
+
 import pytest
 
+from repro.__main__ import main
 from repro.allocators.binpack import resolution
 from repro.fuzz import (CONFIG_GRID, check_config, fuzz, program_for_seed,
                         run_seed, shrink_module)
@@ -134,3 +139,28 @@ class TestInjectedBugEndToEnd:
         assert div.shrunk_to <= div.shrunk_from
         assert div.module_text.strip()
         assert "dataflow" in div.format()
+
+    def test_witness_replay_line_reproduces_through_shrink_ir(
+            self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(resolution, "sequentialize_moves",
+                            _naive_sequentialize)
+        witness = tmp_path / "witness.ir"
+        assert main(["fuzz", "--seeds", "1", "--start", "2",
+                     "--config", "sc-default", "--shrink-budget", "80",
+                     "--out", str(witness)]) == 1
+        header = [line[len(";; "):] for line in
+                  witness.read_text().splitlines() if line.startswith(";;")]
+        assert "machine=tiny:6x6" in header[0].split()
+        replay = [line for line in header if line.startswith("replay: ")]
+        assert len(replay) == 1
+        command = shlex.split(replay[0][len("replay: "):])
+        assert command[0] == "tools/shrink_ir.py"
+        assert command[command.index("--machine") + 1] == "tiny:6x6"
+        spec = importlib.util.spec_from_file_location(
+            "shrink_ir",
+            Path(__file__).resolve().parent.parent / "tools" / "shrink_ir.py")
+        shrink_ir = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(shrink_ir)
+        capsys.readouterr()
+        assert shrink_ir.main(command[1:]) == 0
+        assert "# reproducing failure: [dataflow]" in capsys.readouterr().err

@@ -25,7 +25,7 @@ from repro.results.suite import SuiteError, execute_cell
 from repro.sim import simulate
 from repro.sim.machine import mismatch
 
-SEED = 0  # fuzz seed 0: tiny(4,4), main returns an int and prints ints
+SEED = 0  # fuzz seed 0: tiny:4x4, main returns an int and prints ints
 
 
 def _addi(reg, imm: int) -> Instr:

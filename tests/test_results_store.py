@@ -20,10 +20,13 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from repro.obs.metrics import MetricsRegistry
 from repro.results.store import (CellKey, Record, ResultStore, content_hash,
                                  store_path)
-from repro.results.suite import cell_code_hash, dedup_specs, run_suite
+from repro.results.suite import (SuiteError, cell_code_hash, dedup_specs,
+                                 run_suite)
 
 KEY = CellKey(workload="analog:wc", allocator="second-chance",
               options=(("use_holes", False), ("move_elimination", False)))
@@ -229,3 +232,11 @@ def test_cell_code_hash_tracks_workload_and_machine():
     other = build_workload("analog:wc", "tiny:4x4", "layout")[1]
     assert machine_signature(machine) != machine_signature(other)
     assert h != cell_code_hash(text, other)
+
+
+@pytest.mark.parametrize("spec", ["tiny:3x4", "tiny:33x4", "tiny:8", "vax"])
+def test_suite_names_the_cell_of_a_bad_machine_spec(tmp_path, spec):
+    cell = CellKey("analog:wc", "second-chance", machine=spec)
+    with pytest.raises(SuiteError) as err:
+        run_suite([cell], ResultStore(tmp_path))
+    assert str(err.value).startswith(f"{cell.ident()}: ")

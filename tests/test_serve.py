@@ -14,8 +14,6 @@ import socket
 import subprocess
 import sys
 import threading
-import urllib.error
-import urllib.request
 from pathlib import Path
 
 import pytest
@@ -44,6 +42,13 @@ class TestProtocol:
         assert doc["machine"] == "alpha"
         assert doc["allocator"] == "second-chance"
         assert doc["spill_cleanup"] is False
+
+    def test_machine_and_context_are_normalized(self):
+        doc = decode_request(json.dumps({"minic": MINIC,
+                                         "machine": "tiny:04x04",
+                                         "context": "stress=shuffle,remat"}))
+        assert doc["machine"] == "tiny:4x4"
+        assert doc["context"] == "remat,stress=shuffle,seed=0"
 
     def test_op_defaults_to_allocate(self):
         doc = decode_request(json.dumps({"minic": MINIC}))
@@ -200,6 +205,31 @@ class TestServer:
             pong = send(encode({"op": "ping", "id": "r2"}))
             assert pong["ok"] is True and pong["id"] == "r2"  # same socket
 
+    def test_non_string_machine_is_a_bad_request(self, server):
+        with socket.create_connection(("127.0.0.1", server.port),
+                                      timeout=30) as sock:
+            reader = sock.makefile("rb")
+            for machine in (5, None, ["alpha"]):
+                sock.sendall(encode(dict(IR_REQUEST, machine=machine)))
+                bad = json.loads(reader.readline())
+                assert bad["ok"] is False
+                assert bad["error"]["code"] == "bad-request"
+            sock.sendall(encode({"op": "ping", "id": "p"}))
+            assert json.loads(reader.readline())["ok"] is True
+
+    def test_http_request_line_is_not_json(self, server):
+        # The socket speaks JSONL only: an HTTP request line is bad JSON
+        # like any other, and the server keeps answering.
+        with socket.create_connection(("127.0.0.1", server.port),
+                                      timeout=30) as sock:
+            reader = sock.makefile("rb")
+            sock.sendall(b"GET / HTTP/1.1\r\n")
+            bad = json.loads(reader.readline())
+            assert bad["ok"] is False
+            assert bad["error"]["code"] == "bad-json"
+            sock.sendall(encode({"op": "ping", "id": "p"}))
+            assert json.loads(reader.readline())["ok"] is True
+
     def test_parse_error_is_structured(self, client):
         with pytest.raises(ServeError) as err:
             client.allocate(ir="definitely not ir {{{")
@@ -281,25 +311,6 @@ class TestServer:
                      "commit_s.calls"):
             key = f"serve.latency.{name}"
             assert after[key] == before[key]
-
-    def test_http_facade(self, server):
-        base = f"http://127.0.0.1:{server.port}"
-        health = json.load(urllib.request.urlopen(base + "/healthz"))
-        assert health["ok"] is True
-        post = urllib.request.Request(
-            base + "/allocate", data=json.dumps(IR_REQUEST).encode(),
-            headers={"Content-Type": "application/json"})
-        first = json.load(urllib.request.urlopen(post))
-        assert first["ok"] is True and first["cached"] is False
-        second = json.load(urllib.request.urlopen(post))
-        assert second["cached"] is True
-        with pytest.raises(urllib.error.HTTPError) as err:
-            urllib.request.urlopen(urllib.request.Request(
-                base + "/allocate", data=b'{"op": "allocate"}'))
-        assert err.value.code == 400
-        assert json.load(err.value)["error"]["code"] == "bad-request"
-        stats = json.load(urllib.request.urlopen(base + "/stats"))
-        assert stats["cache_cells"] == 1
 
     def test_cache_persists_across_server_restart(self, tmp_path):
         store = str(tmp_path / "store")

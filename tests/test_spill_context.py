@@ -48,7 +48,6 @@ class TestAllocationContext:
     def test_default_is_empty_everywhere(self):
         assert not DEFAULT_CONTEXT.remat and not DEFAULT_CONTEXT.stressed
         assert DEFAULT_CONTEXT.describe() == ""
-        assert DEFAULT_CONTEXT.cli_args() == []
         assert AllocationContext.parse("") == DEFAULT_CONTEXT
 
     def test_rejects_unknown_mode_and_fragment(self):
@@ -57,10 +56,15 @@ class TestAllocationContext:
         with pytest.raises(ValueError):
             AllocationContext.parse("frobnicate")
 
-    def test_cli_args_reproduce_the_context(self):
+    def test_cli_context_is_the_describe_form(self):
+        from repro.__main__ import build_parser
+
         context = AllocationContext(remat=True, stress="shuffle", seed=9)
-        assert context.cli_args() == [
-            "--remat", "--stress", "shuffle", "--stress-seed", "9"]
+        args = build_parser().parse_args(
+            ["run", "prog.mc", "--context", context.describe()])
+        assert args.context == context
+        assert build_parser().parse_args(
+            ["run", "prog.mc"]).context == DEFAULT_CONTEXT
 
     def test_rng_is_deterministic_and_salted(self):
         context = AllocationContext(stress="shuffle", seed=5)

@@ -5,7 +5,7 @@ import pytest
 from repro.ir.instr import Op
 from repro.ir.temp import PhysReg
 from repro.ir.types import RegClass
-from repro.target import alpha, tiny
+from repro.target import alpha, machine_from_spec, machine_spec, tiny
 from repro.target.machine import CYCLE_COSTS, MachineDescription, cycle_cost
 
 G = RegClass.GPR
@@ -91,3 +91,24 @@ class TestCycleModel:
     def test_default_is_one(self):
         assert cycle_cost(Op.NOP) == 1
         assert cycle_cost(Op.XOR) == 1
+
+
+class TestSpec:
+    def test_round_trip(self):
+        specs = ["alpha"] + [f"tiny:{g}x{f}" for g in range(4, 33)
+                             for f in range(4, 33)]
+        for spec in specs:
+            assert machine_spec(machine_from_spec(spec)) == spec
+
+    @pytest.mark.parametrize("spec", ["tiny", "tiny:8", "tiny:3x4",
+                                      "tiny:33x4", "tiny:axb", "vax", 5,
+                                      None])
+    def test_every_bad_spec_is_one_value_error(self, spec):
+        with pytest.raises(ValueError):
+            machine_from_spec(spec)
+
+    def test_machine_without_a_spec_is_refused(self):
+        hand_made = MachineDescription("bad", 4, 4, (1,), (1,), (3,), (3,),
+                                       0, 0)
+        with pytest.raises(ValueError, match="no spec"):
+            machine_spec(hand_made)

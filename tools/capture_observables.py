@@ -34,10 +34,10 @@ from repro.allocators import ALLOCATOR_FACTORIES, make_allocator
 from repro.ir.printer import print_module
 from repro.pm.session import CompilationSession
 from repro.sim import simulate
-from repro.target import alpha, tiny
+from repro.target import alpha, machine_from_spec
 from repro.workloads.programs import PROGRAM_NAMES, build_program
 
-MACHINES = {"alpha": alpha, "tiny8": lambda: tiny(8, 8)}
+MACHINES = {"alpha": "alpha", "tiny8": "tiny:8x8"}
 
 #: perfbench's ``table3`` modules: (name, candidates, group, seed,
 #: allocators), on alpha.
@@ -78,8 +78,8 @@ def _entry(module, machine, allocator_name: str) -> dict:
 def capture(fuzz_seeds: int, progress=None) -> dict:
     say = progress or (lambda msg: None)
     entries: dict[str, dict] = {}
-    for machine_name, factory in MACHINES.items():
-        machine = factory()
+    for machine_name, spec in MACHINES.items():
+        machine = machine_from_spec(spec)
         for analog in PROGRAM_NAMES:
             try:
                 module = build_program(analog, machine)

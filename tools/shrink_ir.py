@@ -9,16 +9,17 @@ to a minimal witness, written to stdout (or ``--out``).
 Usage::
 
     PYTHONPATH=src python tools/shrink_ir.py failing.ir \
-        --config sc-default --machine tiny --gpr 4 --fpr 4
+        --config sc-default --machine tiny:4x4
 
 The config names are the fuzz grids' (``repro.fuzz.CONFIG_GRID`` plus
-the stress grid ``repro.fuzz.STRESS_GRID``); the machine must match the
-one the failure was found on, since register counts change the
-allocation completely.  ``--remat`` / ``--stress`` / ``--stress-seed``
-replay a failure found under a non-default allocation context — and a
-witness written by ``repro fuzz --out`` carries its context in a
-``;; context=...`` header line, which is applied automatically when no
-explicit context flags are given.
+the stress grid ``repro.fuzz.STRESS_GRID``); the machine (``alpha`` or
+``tiny:<G>x<F>``, default ``tiny:8x8``) must match the one the failure
+was found on, since register counts change the allocation completely.
+``--context`` (e.g. ``remat,stress=shuffle,seed=7``) replays a failure
+found under a non-default allocation context.  A witness written by
+``repro fuzz --out`` carries its context in a ``;; context=...`` header
+line, applied when no ``--context`` is given, and its whole replay
+command in a ``;; replay:`` line.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ from repro.fuzz import CONFIG_GRID, STRESS_GRID, check_config, shrink_module
 from repro.fuzz.shrink import reference_outcome
 from repro.ir.parser import parse_module
 from repro.ir.printer import print_module
-from repro.spill import STRESS_MODES, AllocationContext
-from repro.target import alpha, tiny
+from repro.spill import AllocationContext
+from repro.target import machine_from_spec
 
 
 def context_from_header(text: str) -> AllocationContext | None:
@@ -54,36 +55,31 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("file", help="IR module text file")
     ap.add_argument("--config", required=True, choices=sorted(by_name),
                     help="fuzz-grid config that fails on this module")
-    ap.add_argument("--machine", default="tiny", choices=["alpha", "tiny"])
-    ap.add_argument("--gpr", type=int, default=8,
-                    help="GPR file size for --machine tiny (default: 8)")
-    ap.add_argument("--fpr", type=int, default=8,
-                    help="FPR file size for --machine tiny (default: 8)")
+    ap.add_argument("--machine", default="tiny:8x8", metavar="SPEC",
+                    help="alpha or tiny:<G>x<F> (default: tiny:8x8)")
+    ap.add_argument("--context", default=None, metavar="DESC",
+                    help="allocation context to replay under (default: "
+                         "the witness's context= header, else none)")
     ap.add_argument("--budget", type=int, default=400,
                     help="max candidate evaluations (default: 400)")
     ap.add_argument("--kind", default=None,
                     help="require this failure kind (crash/verify/dataflow/"
                          "sim-fault/mismatch); default: whatever reproduces")
-    ap.add_argument("--remat", action="store_true",
-                    help="replay with rematerialization enabled")
-    ap.add_argument("--stress", default=None, choices=list(STRESS_MODES),
-                    help="replay under this seeded stress mode")
-    ap.add_argument("--stress-seed", type=int, default=None, metavar="N",
-                    help="stress-mode seed (default: 0)")
     ap.add_argument("--out", help="write the shrunken IR here (default: stdout)")
     args = ap.parse_args(argv)
 
-    machine = alpha() if args.machine == "alpha" else tiny(args.gpr, args.fpr)
+    try:
+        machine = machine_from_spec(args.machine)
+        context = (None if args.context is None
+                   else AllocationContext.parse(args.context))
+    except ValueError as exc:
+        ap.error(str(exc))
     config = by_name[args.config]
     with open(args.file) as fh:
         text = fh.read()
     module = parse_module(text)
 
-    if args.remat or args.stress is not None or args.stress_seed is not None:
-        context = AllocationContext(remat=args.remat,
-                                    stress=args.stress or "none",
-                                    seed=args.stress_seed or 0)
-    else:
+    if context is None:
         context = context_from_header(text)
     if context is not None:
         config = dataclasses.replace(config, context=context)
