@@ -228,10 +228,13 @@ class AnalysisManager:
                              f"{sorted(unknown)}")
         self._origins.pop(fn, None)
         per_fn = self._cache.get(fn)
-        if not per_fn:
+        if per_fn is None:
             return
         dropped = [name for name in per_fn if name not in preserve]
         for name in dropped:
             del per_fn[name]
         if dropped:
             self.metrics.bump("pm.analysis.invalidated", len(dropped))
+        if not per_fn:
+            # An empty entry's key would keep a dead function alive.
+            del self._cache[fn]

@@ -36,9 +36,31 @@ Durability contract (what a ``kill -9`` can and cannot lose):
   raising, and appends re-align on a fresh line.
 * Concurrent writers (a server and a CLI sharing one cache directory)
   are serialized by an advisory ``fcntl.flock`` held from
-  :meth:`begin_run` to :meth:`finish_run`; ``begin_run`` re-reads the
-  store under the lock, so run ids and record seqs stay unique across
-  processes.
+  :meth:`begin_run` to :meth:`finish_run`; ``begin_run`` catches up
+  with the store under the lock, so run ids and record seqs stay unique
+  across processes.
+
+Load contract (what a load reads): every open replays every segment and
+``runs.jsonl`` — the segments stay the only index — but a store object
+then loads *incrementally*, so a commit costs what was appended since
+its last load, not the size of the store:
+
+* ``runs.jsonl`` is read from a remembered byte offset, which moves
+  only past newline-terminated lines; an unterminated tail is warned
+  about and metered (``results.load.torn_lines``) but never consumed,
+  so a later load reads it again once it is whole (or garbage).
+* ``segments/`` is listed once per load, by name.  A segment is *final*
+  once it has been read under the lock, or once its run's manifest was
+  read before it: only its own run appends to a segment, run ids are
+  never reused, and a run's segment is fsync'd and closed before its
+  manifest is written.  Final segments are never read again; any other
+  segment (one read at open, without the lock, that may belong to a run
+  still in flight) is read on from its remembered offset, under the same
+  newline rule.
+* A load updates the in-memory maps in place, inserting each record
+  before the newest-record index points at it, so a lookup on another
+  thread never sees a dangling seq; :meth:`ResultStore.iter_latest`
+  iterates a snapshot.
 
 Store behaviour is metered through :mod:`repro.obs.metrics` as
 ``results.cells.computed`` / ``.hits`` / ``.invalidated`` (plus
@@ -106,40 +128,64 @@ def _fsync_dir(path: Path) -> None:
         os.close(fd)
 
 
-def read_jsonl(path: Path, *, metrics: MetricsRegistry | None = None,
-               ) -> Iterator[dict]:
-    """Yield the JSON documents of one JSONL file, tolerating a torn
-    tail.
+def _torn(path: Path, position: int, what: str,
+          metrics: MetricsRegistry | None) -> None:
+    warnings.warn(f"{path} (byte {position}): skipping {what}",
+                  stacklevel=3)
+    if metrics is not None:
+        metrics.bump("results.load.torn_lines")
+
+
+def _read_jsonl_from(path: Path, offset: int = 0, *,
+                    metrics: MetricsRegistry | None = None,
+                    ) -> tuple[list[dict], int]:
+    """The JSON documents of ``path``'s complete lines from byte
+    ``offset`` on, and the offset just past the last complete line.
 
     A process killed mid-append (crash, ``kill -9``, full disk) leaves a
     partial final line; that line was never committed, so it is skipped
     with a :class:`UserWarning` (and metered as
     ``results.load.torn_lines``) instead of poisoning every later load
-    with ``json.JSONDecodeError``.  Garbage on *interior* lines gets the
-    same treatment — recovery over refusal — but is equally warned
-    about, so silent corruption never goes unnoticed.
+    with ``json.JSONDecodeError``.  It is never consumed either: the
+    returned offset stops before it, so a reader that resumes there sees
+    the line again once a newline ends it.  Garbage on *complete* lines
+    gets the same skip-and-warn — recovery over refusal — and is
+    consumed, so silent corruption never goes unnoticed or repeats.
+    A missing file reads as empty.
     """
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped:
-                continue
+    try:
+        with open(path, "rb") as fh:
+            fh.seek(offset)
+            data = fh.read()
+    except FileNotFoundError:
+        return [], offset
+    end = data.rfind(b"\n") + 1
+    docs = []
+    position = offset
+    for line in data[:end].split(b"\n")[:-1]:
+        if line.strip():
             try:
-                doc = json.loads(stripped)
-            except json.JSONDecodeError:
-                warnings.warn(
-                    f"{path}:{lineno}: skipping torn/garbage JSONL line "
-                    f"({len(line)} bytes)", stacklevel=2)
-                if metrics is not None:
-                    metrics.bump("results.load.torn_lines")
-                continue
-            if not isinstance(doc, dict):
-                warnings.warn(f"{path}:{lineno}: skipping non-object "
-                              f"JSONL line", stacklevel=2)
-                if metrics is not None:
-                    metrics.bump("results.load.torn_lines")
-                continue
-            yield doc
+                doc = json.loads(line)
+            except ValueError:
+                _torn(path, position, f"torn/garbage JSONL line "
+                      f"({len(line) + 1} bytes)", metrics)
+            else:
+                if isinstance(doc, dict):
+                    docs.append(doc)
+                else:
+                    _torn(path, position, "non-object JSONL line", metrics)
+        position += len(line) + 1
+    if data[end:].strip():
+        _torn(path, position, f"torn JSONL tail ({len(data) - end} "
+              f"bytes, no newline)", metrics)
+    return docs, offset + end
+
+
+def read_jsonl(path: Path, *, metrics: MetricsRegistry | None = None,
+               ) -> Iterator[dict]:
+    """The JSON documents of one whole JSONL file, tolerating a torn
+    tail and garbage lines (see :func:`_read_jsonl_from`)."""
+    return iter(_read_jsonl_from(path, metrics=metrics)[0])
 
 
 class StoreLock:
@@ -274,7 +320,9 @@ class ResultStore:
     """Append-only store of measurement records under one root directory.
 
     Opening a store scans its segment files (newest record per cell
-    wins) and rewrites nothing; every mutation is an append.
+    wins) and rewrites nothing; every mutation is an append.  Later
+    loads (:meth:`begin_run`) read only what is new — see the load
+    contract in the module docstring.
     """
 
     def __init__(self, root: str | os.PathLike | None = None, *,
@@ -284,10 +332,14 @@ class ResultStore:
         self._records: dict[int, Record] = {}       # seq -> record
         self._latest: dict[str, int] = {}           # ident -> newest seq
         self._runs: list[dict] = []                 # manifests, oldest first
+        self._committed: set[str] = set()           # run ids of _runs
+        self._runs_offset = 0                       # runs.jsonl bytes read
+        self._listed: set[str] = set()              # segments/ at last load
+        self._unfinished: dict[str, int] = {}       # segment -> bytes read
         self._next_seq = 1
         self._open_segment = None                   # (run_id, file handle)
         self._lock = StoreLock(self.root)
-        self._load()
+        self._load(locked=False)
 
     # ------------------------------------------------------------------
     # Loading.
@@ -296,32 +348,47 @@ class ResultStore:
     def segments_dir(self) -> Path:
         return self.root / "segments"
 
-    def _load(self) -> None:
-        """(Re)build the in-memory state from the segment files.
+    def _load(self, *, locked: bool) -> None:
+        """Catch the in-memory state up with the files: manifests past
+        the ``runs.jsonl`` offset, then the segments that are new in
+        this listing of ``segments/`` or were not final when last read.
 
-        Fresh dicts are built first and swapped in at the end, so a
-        concurrent reader on another thread never observes a
-        half-loaded store.  The segments are the single source of truth.
+        Manifests are read first, so a segment whose manifest was seen
+        is complete when it is read, and final.  ``locked`` says the
+        caller holds the store lock: no other run can then be in flight,
+        so every segment read is final.
         """
-        records: dict[int, Record] = {}
-        latest: dict[str, int] = {}
-        runs: list[dict] = []
-        next_seq = 1
-        if self.segments_dir.is_dir():
-            for segment in sorted(self.segments_dir.glob("seg-*.jsonl")):
-                for doc in read_jsonl(segment, metrics=self.metrics):
-                    record = Record.from_json(doc)
-                    if record.schema != SCHEMA_VERSION:
-                        continue
-                    records[record.seq] = record
-                    if latest.get(record.ident, 0) <= record.seq:
-                        latest[record.ident] = record.seq
-                    next_seq = max(next_seq, record.seq + 1)
-        runs_file = self.root / "runs.jsonl"
-        if runs_file.is_file():
-            runs = list(read_jsonl(runs_file, metrics=self.metrics))
-        self._records, self._latest = records, latest
-        self._runs, self._next_seq = runs, next_seq
+        docs, self._runs_offset = _read_jsonl_from(
+            self.root / "runs.jsonl", self._runs_offset, metrics=self.metrics)
+        for doc in docs:
+            self._runs.append(doc)
+            self._committed.add(doc["run"])
+        try:
+            listed = set(os.listdir(self.segments_dir))
+        except FileNotFoundError:
+            listed = set()
+        for name in sorted((listed - self._listed) | self._unfinished.keys()):
+            if not (name.startswith("seg-") and name.endswith(".jsonl")):
+                continue
+            docs, offset = _read_jsonl_from(
+                self.segments_dir / name, self._unfinished.pop(name, 0),
+                metrics=self.metrics)
+            for doc in docs:
+                record = Record.from_json(doc)
+                if record.schema == SCHEMA_VERSION:
+                    self._add(record)
+            if not (locked or name[len("seg-"):-len(".jsonl")]
+                    in self._committed):
+                self._unfinished[name] = offset
+        self._listed = listed
+
+    def _add(self, record: Record) -> None:
+        # The record goes in before _latest can point at it: lookups run
+        # on other threads without the lock.
+        self._records[record.seq] = record
+        if self._latest.get(record.ident, 0) <= record.seq:
+            self._latest[record.ident] = record.seq
+        self._next_seq = max(self._next_seq, record.seq + 1)
 
     # ------------------------------------------------------------------
     # Reading.
@@ -364,9 +431,11 @@ class ResultStore:
                        if r.ident == ident), key=lambda r: r.seq)
 
     def iter_latest(self) -> Iterator[Record]:
-        """Newest record of every cell, in first-seen order."""
-        for seq in self._latest.values():
-            yield self._records[seq]
+        """Newest record of every cell, in first-seen order, as of the
+        call: a snapshot, so a commit on another thread (or a ``put``
+        between two steps) cannot break the iteration."""
+        records = self._records
+        return iter([records[seq] for seq in list(self._latest.values())])
 
     def runs(self) -> list[dict]:
         """Run manifests, oldest first."""
@@ -383,37 +452,43 @@ class ResultStore:
     # ------------------------------------------------------------------
     def next_run_id(self) -> str:
         """The first run id not yet claimed by a manifest *or* a segment
-        file (a crashed run may have left a segment with no manifest)."""
-        taken = {doc["run"] for doc in self._runs}
-        if self.segments_dir.is_dir():
-            taken |= {p.stem[len("seg-"):]
-                      for p in self.segments_dir.glob("seg-*.jsonl")}
+        file in the last load's listing (a crashed run may have left a
+        segment with no manifest)."""
         n = len(self._runs) + 1
-        while f"r{n:04d}" in taken:
+        while (run_id := f"r{n:04d}") in self._committed \
+                or f"seg-{run_id}.jsonl" in self._listed:
             n += 1
-        return f"r{n:04d}"
+        return run_id
 
     def begin_run(self, label: str = "") -> str:
         """Open a new segment for one suite invocation's records.
 
         Takes the store's exclusive advisory lock (held until
-        :meth:`finish_run` / :meth:`abort_run`), then re-reads the
-        segments, so records committed by other processes since our
-        open become visible and the new run's id and seq numbers are
-        globally unique.  Concurrent writers therefore serialize per
-        run, never interleave within a segment.
+        :meth:`finish_run` / :meth:`abort_run`), then loads what other
+        writers appended since our last load, so their records become
+        visible and the new run's id and seq numbers are globally
+        unique.  Concurrent writers therefore serialize per run, never
+        interleave within a segment.
+
+        The load is incremental: ``runs.jsonl`` from its remembered
+        offset, new segments, and the unread tails of segments that were
+        not final when last read — never a segment already read under
+        the lock, nor this store's own.  A commit therefore costs what
+        was appended since the last one, not the size of the store.
         """
         if self._open_segment is not None:
             raise RuntimeError("a run is already open on this store")
         self._lock.__enter__()
         try:
-            self._load()
+            self._load(locked=True)
             run_id = self.next_run_id()
             self.segments_dir.mkdir(parents=True, exist_ok=True)
-            handle = open(self.segments_dir / f"seg-{run_id}.jsonl", "a")
+            name = f"seg-{run_id}.jsonl"
+            handle = open(self.segments_dir / name, "a")
         except BaseException:
             self._lock.__exit__(None, None, None)
             raise
+        self._listed.add(name)              # final: put() adds its records
         self._open_segment = (run_id, handle, label, {})
         return run_id
 
@@ -426,9 +501,7 @@ class ResultStore:
                         code_hash=code_hash, key=key, data=data)
         handle.write(json.dumps(record.to_json(), sort_keys=True) + "\n")
         handle.flush()
-        self._records[record.seq] = record
-        self._latest[record.ident] = record.seq
-        self._next_seq += 1
+        self._add(record)
         cells[record.ident] = record.seq
         self.metrics.bump("results.cells.computed")
         return record
@@ -459,9 +532,14 @@ class ResultStore:
                         "cells": dict(sorted(cells.items())),
                         "stats": stats or {}}
             self.root.mkdir(parents=True, exist_ok=True)
-            self._append_aligned(self.root / "runs.jsonl",
-                                 json.dumps(manifest, sort_keys=True))
+            # Under the lock the last load read every complete line, so
+            # whatever lies between its offset and our manifest is a torn
+            # tail it already warned about.
+            self._runs_offset = self._append_aligned(
+                self.root / "runs.jsonl",
+                json.dumps(manifest, sort_keys=True))
             self._runs.append(manifest)
+            self._committed.add(run_id)
             # The root holds runs.jsonl (created by the first commit).
             _fsync_dir(self.root)
             _fsync_dir(self.segments_dir)
@@ -484,19 +562,21 @@ class ResultStore:
             self._lock.__exit__(None, None, None)
 
     @staticmethod
-    def _append_aligned(path: Path, line: str) -> None:
+    def _append_aligned(path: Path, line: str) -> int:
         """Append ``line`` to a JSONL file, fsync'd, re-aligning first
         if a crashed writer left the file without a trailing newline
         (otherwise the new record would fuse onto the torn tail and
-        both lines would be lost to every later load)."""
-        with open(path, "a+") as fh:
+        both lines would be lost to every later load).  Returns the
+        file's size after the append."""
+        with open(path, "ab+") as fh:
             fh.seek(0, os.SEEK_END)
             if fh.tell() > 0:
-                fh.seek(fh.tell() - 1)
-                if fh.read(1) != "\n":
-                    fh.write("\n")
-            fh.write(line + "\n")
+                fh.seek(-1, os.SEEK_END)
+                if fh.read(1) != b"\n":
+                    fh.write(b"\n")
+            fh.write(line.encode("utf-8") + b"\n")
             _fsync(fh)
+            return fh.tell()
 
 
 __all__ = ["CellKey", "Record", "ResultStore", "SCHEMA_VERSION",

@@ -94,19 +94,27 @@ class AllocationContext:
 
     @classmethod
     def parse(cls, text: str) -> "AllocationContext":
-        """Inverse of :meth:`describe` (accepts the empty string)."""
-        remat, stress, seed = False, "none", 0
+        """Inverse of :meth:`describe` (accepts the empty string).
+
+        Fragments may come in any order, but each at most once, and a
+        ``seed=`` only beside a stress mode: a description that names a
+        field twice, or seeds the unstressed context, means something
+        :meth:`describe` would not say, so it is refused, not guessed.
+        """
+        fields: dict[str, str] = {}
         for part in filter(None, text.split(",")):
-            if part == "remat":
-                remat = True
-            elif part.startswith("stress="):
-                stress = part.split("=", 1)[1]
-            elif part.startswith("seed="):
-                seed = int(part.split("=", 1)[1])
-            else:
+            name, _, value = part.partition("=")
+            if part != "remat" and not (name in ("stress", "seed") and value):
                 raise ValueError(f"bad context fragment {part!r} in {text!r} "
                                  "(remat, stress=<mode>, seed=<N>)")
-        return cls(remat=remat, stress=stress, seed=seed)
+            if name in fields:
+                raise ValueError(f"context {text!r} names {name} twice")
+            fields[name] = value
+        stress = fields.get("stress", "none")
+        if "seed" in fields and stress == "none":
+            raise ValueError(f"context {text!r} seeds no stress mode")
+        return cls(remat="remat" in fields, stress=stress,
+                   seed=int(fields.get("seed", 0)))
 
 
 #: The inert context every entry point uses unless told otherwise.

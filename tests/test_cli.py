@@ -53,6 +53,8 @@ class TestRun:
         (["--context", "stress=banana"], "choose from"),
         (["--remat"], "--context DESC"),
         (["--stress", "shuffle"], "--context DESC"),
+        (["--context", "seed=7"], "seeds no stress mode"),
+        (["--context", "stress=shuffle,stress=none"], "names stress twice"),
     ])
     def test_refuses_other_spellings(self, program, capsys, argv, accepted):
         with pytest.raises(SystemExit) as exc:

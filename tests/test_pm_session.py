@@ -216,6 +216,17 @@ class TestInvalidation:
                 session.module.function("main"),
                 preserve=frozenset({"not-an-analysis"}))
 
+    def test_repeated_runs_leave_the_cache_size_constant(self):
+        """A run's allocated clone loses every analysis, and its emptied
+        entry goes with them: the session does not keep each run's
+        clone alive."""
+        session, _ = session_over()
+        sizes = []
+        for name in sorted(ALLOCATOR_FACTORIES) * 3:
+            session.checked_run(make_allocator(name))
+            sizes.append(len(session.analyses._cache))
+        assert sizes == [sizes[0]] * len(sizes)
+
     def test_allocator_run_invalidates_its_clone(self):
         """After allocation mutates a run's clone, nothing stale remains
         cached for it: a fresh CFG query reflects the allocated code."""

@@ -163,6 +163,22 @@ def test_schema_mismatch_records_are_ignored(tmp_path):
     assert reopened.peek(KEY).data == {"x": 1}
 
 
+def test_iter_latest_is_a_snapshot(tmp_path):
+    """A put between two steps of an iteration (a serve commit beside a
+    ``stats`` request) does not break it: the iteration sees the store
+    as it was when it began."""
+    store = _put_one(tmp_path)
+    store.begin_run("during")
+    try:
+        it = store.iter_latest()
+        assert next(it).ident == KEY.ident()
+        store.put(CellKey("analog:sort", "coloring"), "h1", {"x": 2})
+        assert list(it) == []
+    finally:
+        store.finish_run()
+    assert len(list(store.iter_latest())) == 2
+
+
 def test_metrics_snapshot_restore_round_trip():
     registry = MetricsRegistry()
     registry.bump("a.b")

@@ -72,6 +72,11 @@ class TestProtocol:
                      "allocator": "magic"}), "bad-request"),
         (json.dumps({"op": "allocate", "minic": MINIC,
                      "context": "stress=banana"}), "bad-request"),
+        (json.dumps({"op": "allocate", "minic": MINIC,
+                     "context": "seed=7"}), "bad-request"),
+        (json.dumps({"op": "allocate", "minic": MINIC,
+                     "context": "remat,stress=shuffle,stress=none"}),
+         "bad-request"),
     ])
     def test_malformed_requests_carry_structured_codes(self, line, code):
         with pytest.raises(ProtocolError) as err:

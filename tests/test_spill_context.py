@@ -56,6 +56,35 @@ class TestAllocationContext:
         with pytest.raises(ValueError):
             AllocationContext.parse("frobnicate")
 
+    @pytest.mark.parametrize("text,message", [
+        ("seed=7", "seeds no stress mode"),
+        ("stress=none,seed=7", "seeds no stress mode"),
+        ("remat,seed=0", "seeds no stress mode"),
+        ("remat,remat", "names remat twice"),
+        ("stress=shuffle,stress=none", "names stress twice"),
+        ("remat,stress=shuffle,seed=1,seed=2", "names seed twice"),
+        ("stress", "bad context fragment"),
+        ("remat=1", "bad context fragment"),
+    ])
+    def test_refuses_what_describe_never_writes(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            AllocationContext.parse(text)
+
+    def test_fragment_order_is_free_and_seed_defaults_to_zero(self):
+        assert AllocationContext.parse("seed=4,stress=shuffle,remat") \
+            == AllocationContext(remat=True, stress="shuffle", seed=4)
+        assert AllocationContext.parse("stress=shuffle") \
+            == AllocationContext(stress="shuffle")
+
+    @pytest.mark.parametrize("remat", [False, True])
+    @pytest.mark.parametrize("stress", STRESS_MODES)
+    def test_every_canonical_description_round_trips(self, remat, stress):
+        for seed in ((0,) if stress == "none" else (0, 7, 123456)):
+            context = AllocationContext(remat=remat, stress=stress, seed=seed)
+            text = context.describe()
+            assert AllocationContext.parse(text) == context
+            assert AllocationContext.parse(text).describe() == text
+
     def test_cli_context_is_the_describe_form(self):
         from repro.__main__ import build_parser
 

@@ -14,7 +14,9 @@ survives it.  These tests pin the contract:
 * concurrent processes appending to one store serialize through the
   advisory lock: unique run ids, unique seqs, cleanly parseable
   segments;
-* ``kill -9`` mid-run loses nothing that ``finish_run`` committed.
+* ``kill -9`` mid-run loses nothing that ``finish_run`` committed;
+* loads are incremental: a commit parses only what other writers
+  appended since the store's last load, yet sees all of it.
 """
 
 from __future__ import annotations
@@ -24,13 +26,14 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 import warnings
 from pathlib import Path
 
 import pytest
 
-from repro.results.store import CellKey, ResultStore, read_jsonl
+from repro.results.store import CellKey, Record, ResultStore, read_jsonl
 
 KEY_A = CellKey(workload="analog:wc", allocator="second-chance")
 KEY_B = CellKey(workload="analog:sort", allocator="coloring")
@@ -220,6 +223,150 @@ def test_abort_run_releases_lock_and_keeps_no_manifest(tmp_path):
     run_id = store.begin_run("next")
     store.finish_run()
     assert run_id != ""
+
+
+# ----------------------------------------------------------------------
+# Incremental loads: a commit reads only what is new.
+# ----------------------------------------------------------------------
+@pytest.fixture
+def parsed(monkeypatch):
+    """The seqs of every record the store parses, in order."""
+    seqs: list[int] = []
+    original = Record.from_json
+
+    def counting(doc):
+        seqs.append(doc["seq"])
+        return original(doc)
+
+    monkeypatch.setattr(Record, "from_json", staticmethod(counting))
+    return seqs
+
+
+def _key(i):
+    return CellKey(workload=f"analog:n{i}", allocator="coloring")
+
+
+def test_commit_parses_only_what_other_writers_appended(tmp_path, parsed):
+    for i in range(8):
+        _commit(tmp_path, _key(i))
+    parsed.clear()
+    store = ResultStore(tmp_path)
+    assert parsed == list(range(1, 9))      # every open replays all
+    parsed.clear()
+    for i in range(8, 12):                  # nothing new from others:
+        store.begin_run("own")              # nothing is parsed
+        store.put(_key(i), "h1", {"i": i})
+        store.finish_run()
+    assert parsed == []
+    other = ResultStore(tmp_path)
+    other.begin_run("other")
+    other.put(_key(12), "h1", {"i": 12})
+    other.put(_key(13), "h1", {"i": 13})
+    other.finish_run()
+    _commit(tmp_path, _key(14))
+    parsed.clear()
+    store.begin_run("after")
+    try:
+        assert parsed == [13, 14, 15]       # exactly the others' records
+        assert [store.peek(_key(i)).seq for i in (12, 13, 14)] \
+            == [13, 14, 15]
+        assert store.put(_key(15), "h1", {}).seq == 16
+    finally:
+        store.finish_run()
+
+
+def test_second_store_commits_between_first_stores_commits(tmp_path):
+    first = ResultStore(tmp_path)
+    first.begin_run("a1")
+    first.put(_key(1), "h1", {"by": "first"})
+    first.finish_run()
+    _commit(tmp_path, _key(2), data={"by": "second"})
+    first.begin_run("a2")
+    first.put(_key(3), "h1", {"by": "first"})
+    first.finish_run()
+    assert first.lookup(_key(2), "h1").data == {"by": "second"}
+    for store in (first, ResultStore(tmp_path)):
+        assert [doc["run"] for doc in store.runs()] \
+            == ["r0001", "r0002", "r0003"]
+        assert [(r.seq, r.run) for r in store.iter_latest()] \
+            == [(1, "r0001"), (2, "r0002"), (3, "r0003")]
+
+
+def test_segment_read_mid_run_is_read_again_after_the_run(tmp_path, parsed):
+    writer = ResultStore(tmp_path)
+    writer.begin_run("in-flight")
+    writer.put(KEY_A, "h1", {"x": 1})
+    reader = ResultStore(tmp_path)           # opens without the lock
+    assert reader.peek(KEY_A) is not None
+    writer.put(KEY_B, "h1", {"x": 2})
+    writer.finish_run()
+    parsed.clear()
+    reader.begin_run("later")
+    try:
+        assert parsed == [2]                 # the rest, not the segment
+        assert reader.lookup(KEY_B, "h1").data == {"x": 2}
+        assert reader.next_run_id() == "r0003"
+    finally:
+        reader.abort_run()
+
+
+def test_readers_beside_in_place_loads(tmp_path):
+    """Lookups and iterations on other threads (serve's event loop)
+    beside commits that load another writer's records in place: none
+    raises, and every record they see resolves."""
+    store, other = ResultStore(tmp_path), ResultStore(tmp_path)
+    done = threading.Event()
+    failures: list[BaseException] = []
+
+    def read():
+        try:
+            while not done.is_set():
+                for record in store.iter_latest():
+                    assert store.peek(record.key) is record
+        except BaseException as exc:  # reported by the main thread
+            failures.append(exc)
+
+    readers = [threading.Thread(target=read) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in readers:
+            thread.start()
+        for i in range(0, 80, 2):
+            for writer, key in ((other, _key(i)), (store, _key(i + 1))):
+                writer.begin_run("w")
+                writer.put(key, "h1", {"i": i})
+                writer.finish_run()
+    finally:
+        done.set()
+        sys.setswitchinterval(interval)
+        for thread in readers:
+            thread.join(timeout=30)
+    assert not any(thread.is_alive() for thread in readers)
+    assert failures == []
+    assert len(store) == 80
+    assert sorted(r.seq for r in store.iter_latest()) == list(range(1, 81))
+
+
+def test_unterminated_manifest_is_read_once_it_is_whole(tmp_path):
+    _commit(tmp_path, KEY_A, label="first")
+    runs = tmp_path / "runs.jsonl"
+    line = json.dumps({"run": "r0009", "label": "late", "cells": {},
+                       "stats": {}}, sort_keys=True)
+    with open(runs, "a") as fh:
+        fh.write(line[:10])
+    with pytest.warns(UserWarning, match="torn"):
+        store = ResultStore(tmp_path)
+    assert store.metrics.get("results.load.torn_lines") == 1
+    assert [doc["label"] for doc in store.runs()] == ["first"]
+    with open(runs, "a") as fh:
+        fh.write(line[10:] + "\n")
+    store.begin_run("next")
+    store.finish_run()
+    assert [doc["label"] for doc in store.runs()] == ["first", "late", "next"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert ResultStore(tmp_path).runs() == store.runs()
 
 
 _KEY_STABILITY_PROBE = """\

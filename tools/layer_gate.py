@@ -16,8 +16,8 @@ any run prints ``correct: false``.
 
 Usage (from the root of a checkout)::
 
-    python3 tools/layer_gate.py --record BENCH_26.json   # write a point
-    python3 tools/layer_gate.py --check BENCH_26.json    # gate against one
+    python3 tools/layer_gate.py --record BENCH_30.json   # write a point
+    python3 tools/layer_gate.py --check BENCH_30.json    # gate against one
 
 Given both, the gate writes this run's point and gates it.  Exit status:
 0 pass, 1 fail, 2 when a point lacks a cell or a run printed no result.
